@@ -268,11 +268,7 @@ def _cmd_conic(args) -> dict:
 
 def _cmd_dvr_lift(args) -> dict:
     orders = jsonio.parse_int_list(_read_json(args.orders), "orders")
-    try:
-        data = qm.DvrMapData(tuple(orders))
-    except InputError:
-        raise
-    lift = qm.dvr_lift(data)
+    lift = qm.dvr_lift(qm.DvrMapData(tuple(orders)))
     return {
         "m": lift.m,
         "lifted_orders": list(lift.lifted_orders),

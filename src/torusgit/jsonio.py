@@ -84,8 +84,13 @@ def parse_action(doc: Mapping[str, Any]) -> TorusAction:
     norm = None
     if "norm_form" in doc and doc["norm_form"] is not None:
         norm = _int_matrix(doc["norm_form"], "norm_form")
+    raw_finite = doc.get("finite_part") or []
+    if not isinstance(raw_finite, list):
+        raise InputError("finite_part must be a list of elements")
     finite = []
-    for el in doc.get("finite_part", []) or []:
+    for el in raw_finite:
+        if not isinstance(el, Mapping):
+            raise InputError("finite part element must be an object with perm and aut")
         perm1 = parse_int_list(el.get("perm"), "finite part perm")
         if sorted(perm1) != list(range(1, len(cols) + 1)):
             raise InputError("finite part perm must be a permutation of 1..N")
@@ -138,6 +143,8 @@ def parse_center(doc: Mapping[str, Any], dim: int) -> MonomialWeightedCenter:
         raise InputError("center must be a JSON object")
     coords1 = parse_int_list(doc.get("coords"), "center coords")
     weights = parse_int_list(doc.get("weights"), "center weights")
+    if len(weights) != len(coords1):
+        raise InputError("center weights must be aligned with coords")
     if any(j < 1 or j > dim for j in coords1):
         raise InputError(f"center coords must lie in 1..{dim}")
     order = sorted(range(len(coords1)), key=lambda i: coords1[i])
@@ -187,14 +194,18 @@ def parse_graph(doc: Mapping[str, Any]) -> TwistedCurveGraph:
         if not isinstance(degrees, Mapping):
             raise InputError(f"vertex {i} degrees must be an object")
         vertices.append(Vertex(genus, in_dm, {k: parse_rational(v) for k, v in degrees.items()}))
+    raw_edges = doc.get("edges", [])
+    raw_legs = doc.get("legs", [])
+    if not isinstance(raw_edges, list) or not isinstance(raw_legs, list):
+        raise InputError("edges and legs must be lists")
     edges = []
-    for e in doc.get("edges", []):
+    for e in raw_edges:
         e = parse_int_list(e, "edge")
         if len(e) not in (2, 3):
             raise InputError("edges are [v, w] or [v, w, node_index]")
         edges.append((e[0], e[1], e[2] if len(e) == 3 else 1))
     legs = []
-    for l in doc.get("legs", []):
+    for l in raw_legs:
         l = parse_int_list(l, "leg")
         if len(l) not in (1, 2):
             raise InputError("legs are [v] or [v, marking_index]")

@@ -268,7 +268,9 @@ def _q_norm_sq(action: TorusAction, v: Sequence[int]) -> int:
     return dot(v, action.norm_form.mul_vec(v))
 
 
-def normalized_hm_min(action: TorusAction, chi: Sequence[int], s: Support) -> HmMinimum | None:
+def normalized_hm_min(
+    action: TorusAction, chi: Sequence[int], s: Support, *, _faces: dict | None = None
+) -> HmMinimum | None:
     """Minimum of mu^chi(lambda)/|lambda|_Q over nonzero lambda in the limit cone.
 
     Returns None when the cone is {0} (no-destabilizer signal).  The
@@ -277,11 +279,19 @@ def normalized_hm_min(action: TorusAction, chi: Sequence[int], s: Support) -> Hm
     the Q-unit sphere are the (exactly computable) Riesz vector of chi
     and its negative, and the minimum over the cone is attained at a
     feasible critical direction of the minimal face containing it.
+
+    The critical direction of a face depends only on (action, chi) and
+    the active set, not on s, so callers evaluating many supports pass
+    one ``_faces`` dict to share it (see ``_face_direction``).  That dict
+    must be scoped to a single (action, chi) pair: reused for another
+    action or character it returns the wrong directions.
     """
     chi = tuple(int(e) for e in chi)
     if len(chi) != action.rank:
         raise InputError("character length does not match the rank")
     action.check_support(s)
+    if _faces is None:
+        _faces = {}
     cols = {j: action.character(j) for j in sorted(s)}
     cone_rows = [cols[j] for j in sorted(s)]
 
@@ -297,34 +307,18 @@ def normalized_hm_min(action: TorusAction, chi: Sequence[int], s: Support) -> Hm
             best = (value, witness)
 
     for active in _subsets(sorted(s)):
-        if active:
-            mat = IntMatrix.from_rows([list(cols[j]) for j in active], action.rank)
-            basis = kernel_basis(mat)
-        else:
-            basis = [tuple(1 if i == k else 0 for i in range(action.rank))
-                     for k in range(action.rank)]
-        k = len(basis)
-        if k == 0:
+        if active not in _faces:
+            _faces[active] = _face_direction(action, chi, active)
+        face = _faces[active]
+        if face is None:  # the face spans {0}
             continue
-        bmat = IntMatrix.from_rows([list(b) for b in basis]).transpose()  # rank x k
-        c = bmat.transpose().mul_vec(chi)
-        if all(e == 0 for e in c):
+        v2, lam = face
+        if v2 == 0:
             witness = cone_nonzero_point(cone_rows, action.rank,
                                          eqs=[cols[j] for j in active])
             if witness is not None:
                 consider(SignedSquare.zero(), witness)
             continue
-        gram = [[Fraction(dot(basis[i], action.norm_form.mul_vec(basis[j])))
-                 for j in range(k)] for i in range(k)]
-        y = solve_rational(gram, [Fraction(e) for e in c])
-        v2 = Fraction(0)
-        for ci, yi in zip(c, y):
-            v2 += ci * yi
-        if v2 <= 0:
-            raise InternalError("Riesz norm of a nonzero restricted character must be positive")
-        lam = scale_to_integers(tuple(
-            sum(Fraction(bmat.entries[i][j]) * y[j] for j in range(k))
-            for i in range(action.rank)))
         if in_cone(lam):
             consider(SignedSquare(-1, v2), lam)
         neg = tuple(-e for e in lam)
@@ -334,6 +328,43 @@ def normalized_hm_min(action: TorusAction, chi: Sequence[int], s: Support) -> Hm
     if best is None:
         return None
     return HmMinimum(best[0], best[1])
+
+
+def _face_direction(
+    action: TorusAction, chi: tuple[int, ...], active: tuple[int, ...]
+) -> tuple[Fraction, tuple[int, ...] | None] | None:
+    """The critical direction of chi on the span {lambda : <lambda, chi_j> = 0, j in active}.
+
+    Returns None when that span is {0}, (0, None) when chi vanishes on it,
+    and otherwise (v2, lam): v2 > 0 the squared Q-dual norm of chi
+    restricted to the span and lam the primitive Riesz direction, so that
+    mu^chi/|.|_Q takes the values -sqrt(v2) at lam and +sqrt(v2) at -lam.
+    """
+    if active:
+        mat = IntMatrix.from_rows([list(action.character(j)) for j in active], action.rank)
+        basis = kernel_basis(mat)
+    else:
+        basis = [tuple(1 if i == k else 0 for i in range(action.rank))
+                 for k in range(action.rank)]
+    k = len(basis)
+    if k == 0:
+        return None
+    bmat = IntMatrix.from_rows([list(b) for b in basis]).transpose()  # rank x k
+    c = bmat.transpose().mul_vec(chi)
+    if all(e == 0 for e in c):
+        return (Fraction(0), None)
+    gram = [[Fraction(dot(basis[i], action.norm_form.mul_vec(basis[j])))
+             for j in range(k)] for i in range(k)]
+    y = solve_rational(gram, [Fraction(e) for e in c])
+    v2 = Fraction(0)
+    for ci, yi in zip(c, y):
+        v2 += ci * yi
+    if v2 <= 0:
+        raise InternalError("Riesz norm of a nonzero restricted character must be positive")
+    lam = scale_to_integers(tuple(
+        sum(Fraction(bmat.entries[i][j]) * y[j] for j in range(k))
+        for i in range(action.rank)))
+    return (v2, lam)
 
 
 def _subsets(items: Sequence[int]):
@@ -353,10 +384,11 @@ def minimal_hm_values(action: TorusAction, chi: Sequence[int]) -> frozenset[Sign
     admit an orbit-changing limit."""
     chi = tuple(int(e) for e in chi)
     values = set()
+    faces: dict = {}  # shared face table for this (action, chi)
     for s in action.all_supports():
         if not in_orbit_changing_locus(action, s):
             continue
-        res = normalized_hm_min(action, chi, s)
+        res = normalized_hm_min(action, chi, s, _faces=faces)
         if res is None:
             raise InternalError("orbit-changing support with trivial limit cone")
         values.add(res.value)
@@ -388,30 +420,37 @@ def combine_linearizations(
     limits: destabilizers within the stabilizer still rule out semistability
     for every large m, and restricting to orbit-changing supports makes the
     two-step property fail on degenerate weight matrices.
+
+    Only two kinds of support are evaluated.  Proof: s <= t gives
+    C(t) <= C(s) for the limit cones, so unstable supports are closed under
+    subsets, minima over C(t) are >= those over C(s) and suprema are <=.
+    Hence d is attained on an inclusion-maximal unstable support, and e on
+    the empty support, which is unstable as soon as any support is and
+    whose limit cone is the whole cocharacter space.
     """
     chi_l = action.check_invariant_character(chi_l)
     chi_m = action.check_invariant_character(chi_m)
-    unstable = [s for s in action.all_supports() if not is_semistable(action, chi_l, s)]
+    unstable = {s for s in action.all_supports() if not is_semistable(action, chi_l, s)}
     if not unstable:
         combined = tuple(a + b for a, b in zip(chi_l, chi_m))
         return CombinedLinearization(1, combined, None, None)
 
     d: SignedSquare | None = None
-    e: SignedSquare | None = None
-    for s in unstable:
-        res_l = normalized_hm_min(action, chi_l, s)
+    faces: dict = {}  # shared face table for (action, chi_l)
+    for s in sorted(unstable, key=support_key):
+        if any(s | {j} in unstable for j in range(action.dim) if j not in s):
+            continue  # not maximal
+        res_l = normalized_hm_min(action, chi_l, s, _faces=faces)
         if res_l is None:
             raise InternalError("unstable support with trivial limit cone")
         if res_l.value.sign >= 0:
             raise InternalError("normalized minimum is non-negative on an unstable support")
-        res_m = normalized_hm_min(action, tuple(-x for x in chi_m), s)
-        if res_m is None:
-            raise InternalError("unstable support with trivial limit cone")
-        sup_m = res_m.value.neg()
         d = res_l.value if d is None or d < res_l.value else d
-        e = sup_m if e is None or e < sup_m else e
+    res_m = normalized_hm_min(action, tuple(-x for x in chi_m), frozenset())
+    if d is None or res_m is None:
+        raise InternalError("unstable support with trivial limit cone")
+    e = res_m.value.neg()
 
-    assert d is not None and e is not None
     if e.sign <= 0:
         m0 = 1
     else:

@@ -71,11 +71,32 @@ def is_generic(arrangement: WallArrangement, mu: Sequence[int]) -> bool:
     return all(dot(nu, mu) != 0 for nu in arrangement.walls)
 
 
-def _coordinate_order(bound: int) -> list[int]:
-    out = [0]
-    for h in range(1, bound + 1):
-        out.extend((h, -h))
-    return out
+def _height_shells(n: int, bound: int):
+    """Integer vectors of length n and height <= bound, in search order.
+
+    Shell h holds the vectors of height (max absolute coordinate) exactly
+    h, lexicographically with per-coordinate order 0, 1, -1, ..., h, -h.
+    Shells are generated, never materialized or sorted.
+    """
+    if n == 0:
+        yield ()
+        return
+    order = (0,)
+    for h in range(bound + 1):
+        if h:
+            order += (h, -h)
+        yield from _shell(n, h, order)
+
+
+def _shell(n: int, h: int, order: tuple[int, ...]):
+    """Vectors of length n over `order` with a coordinate of absolute value h."""
+    for x in order:
+        if abs(x) == h:
+            for rest in itertools.product(order, repeat=n - 1):
+                yield (x,) + rest
+        elif n > 1:
+            for rest in _shell(n - 1, h, order):
+                yield (x,) + rest
 
 
 def find_generic_character(arrangement: WallArrangement, height_bound: int) -> tuple[int, ...]:
@@ -88,13 +109,7 @@ def find_generic_character(arrangement: WallArrangement, height_bound: int) -> t
     if height_bound < 1:
         raise InputError("height_bound must be >= 1")
     n = arrangement.ambient_rank
-    order = _coordinate_order(height_bound)
-    pos = {v: i for i, v in enumerate(order)}
-    candidates = sorted(
-        itertools.product(order, repeat=n),
-        key=lambda v: (max((abs(e) for e in v), default=0), tuple(pos[e] for e in v)),
-    )
-    for mu in candidates:
+    for mu in _height_shells(n, height_bound):
         if is_generic(arrangement, mu):
             return mu
     raise ComputationDeclined(

@@ -174,3 +174,22 @@ def test_graph_json_roundtrip():
     }
     graph = jsonio.parse_graph(doc)
     assert jsonio.dump_graph(jsonio.parse_graph(jsonio.dump_graph(graph))) == jsonio.dump_graph(graph)
+
+def test_malformed_finite_part_is_an_input_error(capsys):
+    action = json.dumps({"rank": 1, "weights": [[1], [-1]], "finite_part": [1]})
+    rc, doc = invoke(["semistable", "--action", action, "--char", "[1]",
+                      "--support", "[1]"], capsys)
+    assert rc == 1 and doc["kind"] == "input"
+
+
+def test_center_with_fewer_weights_than_coords_is_an_input_error(capsys):
+    rc, doc = invoke(["eb", "--action", A2_TRIVIAL,
+                      "--center", '{"coords": [1, 2], "weights": [1]}'], capsys)
+    assert rc == 1 and doc["kind"] == "input"
+
+
+def test_non_list_legs_is_an_input_error(capsys):
+    graph = json.dumps({"vertices": [{"genus": 0, "in_dm": True, "degrees": {"L_X": 1}}],
+                        "legs": 5})
+    rc, doc = invoke(["quasimap", "--graph", graph], capsys)
+    assert rc == 1 and doc["kind"] == "input"

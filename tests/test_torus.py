@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_action, random_character
 from torusgit.errors import InputError
@@ -247,6 +249,95 @@ def test_combine_zero_chi_m():
 def test_combine_no_unstable_supports():
     res = combine_linearizations(HYPERBOLA, (0,), (2,))
     assert res.m0 == 1 and res.combined == (2,) and res.d is None
+
+
+# -- oracle: every unstable support, two minima per support ------------------
+
+
+def _combine_oracle(a, chi_l, chi_m):
+    """(m0, combined, d, e) by evaluating d and e on every chi_l-unstable support."""
+    unstable = [s for s in a.all_supports() if not is_semistable(a, chi_l, s)]
+    if not unstable:
+        return 1, tuple(x + y for x, y in zip(chi_l, chi_m)), None, None
+    d = e = None
+    for s in unstable:
+        val_l = normalized_hm_min(a, chi_l, s).value
+        sup_m = normalized_hm_min(a, tuple(-x for x in chi_m), s).value.neg()
+        assert val_l.sign < 0
+        d = val_l if d is None or d < val_l else d
+        e = sup_m if e is None or e < sup_m else e
+    m0 = 1
+    if e.sign > 0:
+        while Fraction(m0 * m0) * d.square <= e.square:
+            m0 += 1
+    return m0, tuple(m0 * x + y for x, y in zip(chi_l, chi_m)), d, e
+
+
+def _norm_form(draw, r):
+    rows = [[draw(st.integers(-1, 1)) for _ in range(r)] for _ in range(r)]
+    sq = IntMatrix.from_rows(rows, r).transpose().mul(IntMatrix.from_rows(rows, r))
+    return IntMatrix.from_rows([[sq.entries[i][j] + (i == j) for j in range(r)]
+                                for i in range(r)], r)
+
+
+@st.composite
+def hm_inputs(draw):
+    """(action, chi_l, chi_m) at rank 2 or 3: identity norm form, a random
+    positive-definite Q = A^T A + I, or a finite part cycling the character
+    coordinates (with a circulant Q it preserves and invariant characters)."""
+    r = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["identity", "norm", "finite"]))
+    entry = st.integers(-3, 3)
+    if kind != "finite":
+        n = draw(st.integers(1, 6))
+        w = IntMatrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(r)], n)
+        q = _norm_form(draw, r) if kind == "norm" else None
+        a = TorusAction(r, w, q)
+        return a, tuple(draw(entry) for _ in range(r)), tuple(draw(entry) for _ in range(r))
+    # columns come in orbits v, Pv, ..., P^(r-1) v of the coordinate cycle P
+    blocks = draw(st.integers(1, 6 // r))
+    cols, perm = [], []
+    for b in range(blocks):
+        v = [draw(entry) for _ in range(r)]
+        for t in range(r):
+            cols.append(v[-t:] + v[:-t] if t else v)
+            perm.append(b * r + (t + 1) % r)
+    if draw(st.booleans()):
+        c = draw(entry)
+        perm.append(len(cols))
+        cols.append([c] * r)
+    n = len(cols)
+    w = IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(r)], n)
+    cycle = IntMatrix.from_rows([[1 if i == (j + 1) % r else 0 for j in range(r)]
+                                 for i in range(r)], r)
+    p_diag = draw(st.integers(2, 4))
+    p_off = draw(st.integers(-((p_diag - 1) // (r - 1)), p_diag - 1))  # Q > 0
+    q = IntMatrix.from_rows([[p_diag if i == j else p_off for j in range(r)]
+                             for i in range(r)], r)
+    a = TorusAction(r, w, q, (FinitePartElement(tuple(perm), cycle),))
+    return a, (draw(entry),) * r, (draw(entry),) * r
+
+
+@settings(max_examples=80, deadline=None)
+@given(hm_inputs())
+def test_combine_matches_every_support_oracle(inputs):
+    a, chi_l, chi_m = inputs
+    res = combine_linearizations(a, chi_l, chi_m)
+    assert (res.m0, res.combined, res.d, res.e) == _combine_oracle(a, chi_l, chi_m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hm_inputs())
+def test_shared_face_table_matches_uncached_minima(inputs):
+    a, chi, _ = inputs
+    faces: dict = {}
+    expected = set()
+    for s in a.all_supports():
+        fresh = normalized_hm_min(a, chi, s)
+        assert normalized_hm_min(a, chi, s, _faces=faces) == fresh
+        if in_orbit_changing_locus(a, s):
+            expected.add(fresh.value)
+    assert minimal_hm_values(a, chi) == expected
 
 
 def test_two_step_property_small_sweep(rng):

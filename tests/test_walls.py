@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import random_action, random_character
@@ -123,3 +125,42 @@ def test_genericity_soundness(rng):
             assert ok, (a.weights.entries, mu, sorted(ce))
             checked += 1
     assert checked >= 100
+
+
+def test_height_shells_match_the_sorted_order():
+    from torusgit.walls import _height_shells
+
+    for n in range(4):
+        for b in range(5):
+            order = [0] + [x for h in range(1, b + 1) for x in (h, -h)]
+            pos = {v: i for i, v in enumerate(order)}
+            expected = sorted(
+                itertools.product(order, repeat=n),
+                key=lambda v: (max((abs(e) for e in v), default=0), tuple(pos[e] for e in v)),
+            )
+            assert list(_height_shells(n, b)) == expected, (n, b)
+
+
+def test_generic_character_rank4_stops_early(capsys):
+    """The CLI default bound 16 at rank 4 spans 33^4 candidates; the search
+    must stop at the first generic one without building them."""
+    import json
+    import time
+    import tracemalloc
+
+    from torusgit.cli import run
+
+    action = json.dumps({"rank": 4, "weights": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                                [0, 0, 0, 1], [1, 1, 1, 1]]})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc = run(["generic-character", "--action", action])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["generic"] == [1, -1, 2, -2]
+    assert peak < 8 * 2**20, peak
+    assert elapsed < 2.0, elapsed
