@@ -67,18 +67,8 @@ def _signed_square(v: SignedSquare | None) -> Any:
 
 def _psi(args, action: TorusAction) -> IntMatrix:
     if getattr(args, "psi", None):
-        doc = _read_json(args.psi)
-        if not isinstance(doc, list):
-            raise InputError("psi must be a matrix (list of rows)")
-        return IntMatrix.from_rows(doc, len(doc[0]) if doc else 0)
+        return jsonio.parse_matrix(_read_json(args.psi), "psi")
     return IntMatrix.identity(action.rank)
-
-
-def _guard_supports(action: TorusAction, args) -> None:
-    if 1 << action.dim > args.max_supports:
-        raise ComputationDeclined(
-            f"2^{action.dim} supports exceed --max-supports={args.max_supports}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +106,7 @@ def _cmd_hm_min(args) -> dict:
 
 def _cmd_minimal_values(args) -> dict:
     a = _action(args)
-    _guard_supports(a, args)
+    rees_mod.guard_supports(a.dim, args.max_supports)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     values = sorted(minimal_hm_values(a, chi))
     return {"values": [_signed_square(v) for v in values]}
@@ -124,7 +114,7 @@ def _cmd_minimal_values(args) -> dict:
 
 def _cmd_combine(args) -> dict:
     a = _action(args)
-    _guard_supports(a, args)
+    rees_mod.guard_supports(a.dim, args.max_supports)
     chi_l = jsonio.parse_vector(_read_json(args.char_l), a.rank, "chi_L")
     chi_m = jsonio.parse_vector(_read_json(args.char_m), a.rank, "chi_M")
     res = combine_linearizations(a, chi_l, chi_m)
@@ -187,7 +177,6 @@ def _cmd_saturate(args) -> dict:
 
 def _cmd_desing(args) -> dict:
     a = _action(args)
-    _guard_supports(a, args)
     if args.char is not None:
         chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     else:

@@ -29,6 +29,7 @@ from .rees import (
     MonomialWeightedCenter,
     check_presentation,
     extended_weighted_blowup,
+    guard_supports,
 )
 from .torus import (
     Support,
@@ -98,8 +99,10 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
     One center per step, lexicographically least; the accumulated
     character is updated to m0 * (previous, 0) + theta.  A step guard
     raises ComputationDeclined with diagnostics instead of looping, and
-    the support scans are re-guarded as each blow-up adds a coordinate.
+    the support scans are guarded before the first one and again as each
+    blow-up adds a coordinate.
     """
+    guard_supports(action.dim, max_supports)
     chi = action.check_invariant_character(start_character)
     if rank(action.weights) < action.rank:
         raise InputError("the action has a positive-dimensional kernel; effectivize first")
@@ -113,10 +116,6 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
         raise InputError("the action has no properly stable point for the start character")
     steps: list[DesingStep] = []
     while True:
-        if 1 << current.dim > max_supports:
-            raise ComputationDeclined(
-                f"2^{current.dim} supports exceed the limit {max_supports}"
-            )
         centers = max_stabilizer_centers(current, live)
         if not centers:
             break
@@ -127,6 +126,7 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
             )
         center = centers[0]
         eb = extended_weighted_blowup(current, center)
+        guard_supports(eb.ambient.dim, max_supports)
         lifted = chi + (0,)
         combo = combine_linearizations(eb.ambient, lifted, eb.theta)
         current = eb.ambient

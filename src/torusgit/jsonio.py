@@ -56,7 +56,7 @@ def parse_int_list(value: Any, what: str) -> list[int]:
     return list(value)
 
 
-def _int_matrix(value: Any, what: str) -> IntMatrix:
+def parse_matrix(value: Any, what: str) -> IntMatrix:
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list of rows")
     rows = [parse_int_list(r, f"{what} row") for r in value]
@@ -83,7 +83,7 @@ def parse_action(doc: Mapping[str, Any]) -> TorusAction:
     w = IntMatrix.from_rows([[c[i] for c in cols] for i in range(rank)], len(cols))
     norm = None
     if "norm_form" in doc and doc["norm_form"] is not None:
-        norm = _int_matrix(doc["norm_form"], "norm_form")
+        norm = parse_matrix(doc["norm_form"], "norm_form")
     raw_finite = doc.get("finite_part") or []
     if not isinstance(raw_finite, list):
         raise InputError("finite_part must be a list of elements")
@@ -94,7 +94,7 @@ def parse_action(doc: Mapping[str, Any]) -> TorusAction:
         perm1 = parse_int_list(el.get("perm"), "finite part perm")
         if sorted(perm1) != list(range(1, len(cols) + 1)):
             raise InputError("finite part perm must be a permutation of 1..N")
-        aut = _int_matrix(el.get("aut"), "finite part aut")
+        aut = parse_matrix(el.get("aut"), "finite part aut")
         finite.append(FinitePartElement(tuple(p - 1 for p in perm1), aut))
     return TorusAction(rank, w, norm, tuple(finite))
 

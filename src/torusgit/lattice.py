@@ -5,6 +5,9 @@ loci) reduces to a handful of primitives implemented here:
 
 * Smith normal form over the integers, with the unimodular transforms,
   and the integer kernel / rank computations derived from it;
+* one fraction-free (Bareiss) Gauss-Jordan elimination, behind the
+  determinant, the unimodular inverse, exact rational solves and
+  Sylvester's positive-definiteness test;
 * feasibility of homogeneous systems of linear inequalities over the
   rationals, decided by Fourier-Motzkin elimination (mixed strict and
   non-strict inequalities are supported);
@@ -253,78 +256,78 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return out
 
 
+def _bareiss(a: list[list[int]], n: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows [A | B].
+
+    A is the leading n x n block of ``a``, whose rows are replaced in
+    place.  Returns (swaps, pivots) with pivots = [1, p_1, ..., p_k].  If
+    A is nonsingular, k = n and the left block ends as d*I and the right
+    block as d*A^{-1}B, where d = p_n and det A = (-1)^swaps * d.  If A is
+    singular, the last pivot is 0.  Each division by the previous pivot
+    is exact, since every intermediate entry is, up to sign, a minor of
+    [A | B] (Bareiss, Math. Comp. 22, 1968).  Rows are swapped only at a zero
+    pivot, so without a swap p_k is the k-th leading principal minor.
+    """
+    swaps, pivots = 0, [1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            pivots.append(0)
+            break
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            swaps += 1
+        pk, prev, rk = a[k][k], pivots[-1], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
+        pivots.append(pk)
+    return swaps, pivots
+
+
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, again an integer matrix."""
     n = m.rows
     if n != m.cols:
         raise InputError("only square matrices can be inverted")
-    aug = [[Fraction(e) for e in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise InputError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    data = []
-    for row in aug:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise InputError("matrix is not unimodular")
-            ints.append(int(x))
-        data.append(ints)
-    return IntMatrix.from_rows(data, n)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    d = _bareiss(a, n)[1][-1]
+    if d == 0:
+        raise InputError("matrix is singular")
+    if abs(d) != 1:
+        raise InputError("matrix is not unimodular")
+    return IntMatrix.from_rows([[d * x for x in row[n:]] for row in a], n)
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant (fraction-free Gaussian elimination would also do;
-    Fractions are fine at the sizes used here)."""
-    n = m.rows
-    if n != m.cols:
+    """Exact determinant."""
+    if m.rows != m.cols:
         raise InputError("determinant of a non-square matrix")
-    a = [[Fraction(e) for e in row] for row in m.entries]
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    prod = Fraction(sign)
-    for i in range(n):
-        prod *= a[i][i]
-    if prod.denominator != 1:
-        raise InternalError("integer determinant came out fractional")
-    return int(prod)
+    swaps, pivots = _bareiss([list(row) for row in m.entries], m.rows)
+    return (-1) ** swaps * pivots[-1]
 
 
-def solve_rational(gram: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular rational linear system exactly."""
+def is_positive_definite(q: IntMatrix) -> bool:
+    """Sylvester's criterion for a symmetric matrix, from one elimination:
+    the pivots are the leading principal minors unless one of them is 0."""
+    swaps, pivots = _bareiss([list(row) for row in q.entries], q.rows)
+    return swaps == 0 and all(p > 0 for p in pivots)
+
+
+def solve_rational(gram: Sequence[Sequence[int | Fraction]],
+                   rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Solve a nonsingular rational linear system exactly.  Each equation
+    is scaled to integers by the lcm of its denominators first."""
     n = len(gram)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise InputError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+    a = []
+    for eq in ([*row, b] for row, b in zip(gram, rhs)):
+        scale = math.lcm(*(x.denominator for x in eq))
+        a.append([int(x * scale) for x in eq])
+    d = _bareiss(a, n)[1][-1]
+    if d == 0:
+        raise InputError("singular system")
+    return [Fraction(row[n], d) for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +355,6 @@ STRICT = "strict"
 NONNEG = "nonneg"
 
 _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
-
-
-def _normalize_row(coeffs: Sequence[int], strict: bool) -> _Row:
-    return primitive(coeffs), strict
 
 
 def feasible_system(rows: list[_Row], dim: int) -> bool:
@@ -435,10 +434,11 @@ def cone_nonzero_point(
     """A nonzero integer point of {x : eqs x = 0, <m, x> >= 0 for m in ineqs}.
 
     Every nonzero polyhedral cone contains either a nonzero point of its
-    lineality space or an extreme ray, and the extreme rays of a pointed
-    cone span the 1-dimensional kernels of subsets of the active normals.
-    Enumerating those subsets is complete at the ambient dimensions used
-    in this package (<= 8 or so).
+    lineality space or an extreme ray.  Once the lineality space is {0}
+    the cone is pointed, and each extreme ray is the 1-dimensional kernel
+    of dim - 1 linearly independent active normals.  So the search is
+    complete in every dimension, at a cost of about C(m, < dim) kernel
+    computations for m normals.
     """
     if dim == 0:
         return None

@@ -59,12 +59,8 @@ def slice_at_fixed_point(
     """
     action.check_support(s)
     cols = sorted(s)
-    if cols:
-        mat = IntMatrix.from_rows([list(action.character(j)) for j in cols], action.rank)
-        basis = kernel_basis(mat)
-    else:
-        basis = [tuple(1 if i == k else 0 for i in range(action.rank))
-                 for k in range(action.rank)]
+    support_rows = [list(action.character(j)) for j in cols]
+    basis = kernel_basis(IntMatrix.from_rows(support_rows, action.rank))
     stab_dim = len(basis)
     if stab_dim == 0:
         raise InputError("the point is not fixed by a positive-dimensional subtorus")
@@ -72,8 +68,7 @@ def slice_at_fixed_point(
     restricted = [kt.mul_vec(action.character(j)) for j in range(action.dim)]
 
     if orbit_directions is None:
-        orbit_rank = rank(IntMatrix.from_rows([list(action.character(j)) for j in cols],
-                                              action.rank)) if cols else 0
+        orbit_rank = rank(IntMatrix.from_rows(support_rows, action.rank))
         # the torus orbit moves along independent support directions, all of
         # stabilizer weight zero; drop the lexicographically first such set
         moved: list[int] = []
@@ -90,12 +85,7 @@ def slice_at_fixed_point(
     if any(j < 0 or j >= action.dim for j in orbit) or len(set(orbit)) != len(orbit):
         raise InputError("orbit directions out of range or repeated")
 
-    # multiset check: orbit weights must occur among the tangent weights
-    remaining = list(range(action.dim))
-    for j in orbit:
-        if j not in remaining:
-            raise InternalError("orbit weights are not a sub-multiset of the tangent weights")
-        remaining.remove(j)
+    remaining = [j for j in range(action.dim) if j not in orbit]
     slice_weights = IntMatrix.from_rows(
         [[restricted[j][i] for j in remaining] for i in range(stab_dim)], len(remaining)
     )

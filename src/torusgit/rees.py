@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComputationDeclined, InputError
-from .lattice import IntMatrix, monomials_up_to_degree
+from .lattice import monomials_up_to_degree
 from .torus import (
-    FinitePartElement,
     Support,
     TorusAction,
     is_semistable,
@@ -96,35 +95,16 @@ def extended_weighted_blowup(action: TorusAction, center: MonomialWeightedCenter
             if center.weight_of(el.perm[j]) != center.weight_of(j):
                 raise InputError("finite part does not preserve the center weights")
 
-    r = action.rank
-    rees_row = [center.weight_of(j) if j in zset else 0 for j in range(n)] + [-1]
-    rows = [list(action.weights.row(i)) + [0] for i in range(r)]
-    rows.append(rees_row)
-    ambient_w = IntMatrix.from_rows(rows, n + 1)
-
-    q = action.norm_form
-    q_rows = [list(q.row(i)) + [0] for i in range(r)]
-    q_rows.append([0] * r + [1])
-    ambient_q = IntMatrix.from_rows(q_rows, r + 1)
-
-    finite = []
-    for el in action.finite_part:
-        perm = tuple(el.perm) + (n,)
-        aut_rows = [list(el.aut.row(i)) + [0] for i in range(r)]
-        aut_rows.append([0] * r + [1])
-        finite.append(FinitePartElement(perm, IntMatrix.from_rows(aut_rows, r + 1)))
-
-    ambient = TorusAction(r + 1, ambient_w, ambient_q, tuple(finite))
-    theta = tuple(0 for _ in range(r)) + (-1,)
     substitution = tuple(center.weight_of(j) if j in zset else 0 for j in range(n))
+    ambient = action.with_factor(substitution, t_weight=-1)
+    theta = tuple(0 for _ in range(action.rank)) + (-1,)
     return EBPresentation(action, center, ambient, theta, n, substitution)
 
 
-def _guard_supports(dim: int, max_supports: int) -> None:
+def guard_supports(dim: int, max_supports: int) -> None:
+    """Decline a scan over the 2^dim supports of A^dim above ``max_supports``."""
     if 1 << dim > max_supports:
-        raise ComputationDeclined(
-            f"2^{dim} supports exceed the limit {max_supports}; raise --max-supports"
-        )
+        raise ComputationDeclined(f"2^{dim} supports exceed --max-supports={max_supports}")
 
 
 def weighted_blowup_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS) -> list[Support]:
@@ -132,7 +112,7 @@ def weighted_blowup_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SU
     exactly those meeting the center coordinates {X_j}.  The only relevant
     destabilizer over the base is the Rees cocharacter (0, ..., 0, -1),
     whose limit fails to exist precisely when some X_j is present."""
-    _guard_supports(eb.ambient.dim, max_supports)
+    guard_supports(eb.ambient.dim, max_supports)
     zset = set(eb.center.coords)
     out = [s for s in eb.ambient.all_supports() if s & zset]
     return sorted(out, key=support_key)
@@ -143,7 +123,7 @@ def saturated_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS
     no lambda in the full rank-(r+1) limit cone with negative T-component.
     Always contained in the weighted blow-up locus, with equality when the
     original torus is trivial."""
-    _guard_supports(eb.ambient.dim, max_supports)
+    guard_supports(eb.ambient.dim, max_supports)
     out = [s for s in eb.ambient.all_supports() if is_semistable(eb.ambient, eb.theta, s)]
     return sorted(out, key=support_key)
 
@@ -161,7 +141,7 @@ class ExceptionalDivisor:
 
 
 def exceptional_divisor(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS) -> ExceptionalDivisor:
-    _guard_supports(eb.ambient.dim, max_supports)
+    guard_supports(eb.ambient.dim, max_supports)
     t = eb.exceptional_index
     zset = set(eb.center.coords)
     on_div = [s for s in eb.ambient.all_supports() if t not in s]

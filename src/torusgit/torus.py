@@ -38,6 +38,7 @@ from .lattice import (
     cone_nonzero_point,
     det,
     dot,
+    is_positive_definite,
     kernel_basis,
     primitive,
     scale_to_integers,
@@ -94,10 +95,8 @@ class TorusAction:
             raise InputError("norm form must be rank x rank")
         if not q.is_symmetric():
             raise InputError("norm form must be symmetric")
-        for k in range(1, self.rank + 1):
-            minor = IntMatrix.from_rows([q.row(i)[:k] for i in range(k)], k)
-            if det(minor) <= 0:
-                raise InputError("norm form must be positive definite")
+        if not is_positive_definite(q):
+            raise InputError("norm form must be positive definite")
         n = self.dim
         for el in self.finite_part:
             if sorted(el.perm) != list(range(n)):
@@ -118,6 +117,27 @@ class TorusAction:
 
     def character(self, j: int) -> Character:
         return self.weights.col(j)
+
+    def with_factor(self, row: Sequence[int], t_weight: int | None = None) -> "TorusAction":
+        """This action times one more G_m factor, acting with weights ``row``.
+
+        The norm form becomes Q (+) 1 and each finite-part automorphism
+        aut (+) 1.  With ``t_weight`` a coordinate T is appended: weight 0
+        on the old factors, ``t_weight`` on the new one, and fixed by every
+        permutation.
+        """
+        r, t = self.rank, [] if t_weight is None else [t_weight]
+        if len(row) != self.dim:
+            raise InputError("factor weights must have one entry per coordinate")
+        rows = [list(self.weights.row(i)) + [0] * len(t) for i in range(r)] + [list(row) + t]
+
+        def plus_one(m: IntMatrix) -> IntMatrix:
+            return IntMatrix.from_rows([list(m.row(i)) + [0] for i in range(r)] + [[0] * r + [1]])
+
+        fixed = () if t_weight is None else (self.dim,)
+        finite = tuple(FinitePartElement(tuple(el.perm) + fixed, plus_one(el.aut))
+                       for el in self.finite_part)
+        return TorusAction(r + 1, IntMatrix.from_rows(rows), plus_one(self.norm_form), finite)
 
     def check_support(self, s: Support) -> None:
         if any(j < 0 or j >= self.dim for j in s):
@@ -264,10 +284,6 @@ class HmMinimum:
     minimizer: tuple[int, ...]
 
 
-def _q_norm_sq(action: TorusAction, v: Sequence[int]) -> int:
-    return dot(v, action.norm_form.mul_vec(v))
-
-
 def normalized_hm_min(
     action: TorusAction, chi: Sequence[int], s: Support, *, _faces: dict | None = None
 ) -> HmMinimum | None:
@@ -340,30 +356,20 @@ def _face_direction(
     restricted to the span and lam the primitive Riesz direction, so that
     mu^chi/|.|_Q takes the values -sqrt(v2) at lam and +sqrt(v2) at -lam.
     """
-    if active:
-        mat = IntMatrix.from_rows([list(action.character(j)) for j in active], action.rank)
-        basis = kernel_basis(mat)
-    else:
-        basis = [tuple(1 if i == k else 0 for i in range(action.rank))
-                 for k in range(action.rank)]
-    k = len(basis)
-    if k == 0:
+    mat = IntMatrix.from_rows([list(action.character(j)) for j in active], action.rank)
+    basis = kernel_basis(mat)
+    if not basis:
         return None
-    bmat = IntMatrix.from_rows([list(b) for b in basis]).transpose()  # rank x k
-    c = bmat.transpose().mul_vec(chi)
+    c = [dot(b, chi) for b in basis]
     if all(e == 0 for e in c):
         return (Fraction(0), None)
-    gram = [[Fraction(dot(basis[i], action.norm_form.mul_vec(basis[j])))
-             for j in range(k)] for i in range(k)]
-    y = solve_rational(gram, [Fraction(e) for e in c])
-    v2 = Fraction(0)
-    for ci, yi in zip(c, y):
-        v2 += ci * yi
+    qb = [action.norm_form.mul_vec(b) for b in basis]
+    y = solve_rational([[dot(bi, qbj) for qbj in qb] for bi in basis], c)
+    v2 = sum(ci * yi for ci, yi in zip(c, y))
     if v2 <= 0:
         raise InternalError("Riesz norm of a nonzero restricted character must be positive")
-    lam = scale_to_integers(tuple(
-        sum(Fraction(bmat.entries[i][j]) * y[j] for j in range(k))
-        for i in range(action.rank)))
+    lam = scale_to_integers(tuple(sum(b[i] * yj for b, yj in zip(basis, y))
+                                  for i in range(action.rank)))
     return (v2, lam)
 
 
@@ -492,15 +498,9 @@ def stabilizer(action: TorusAction, s: Support) -> DiagonalizableGroup:
     where Lambda_s is generated by the support characters, plus the order
     of the finite-part subgroup fixing the support setwise."""
     action.check_support(s)
-    cols = sorted(s)
-    if cols:
-        mat = action.weights.submatrix_cols(cols)
-        snf = smith_normal_form(mat)
-        dim = action.rank - snf.rank
-        factors = tuple(d for d in snf.diag if d > 1)
-    else:
-        dim = action.rank
-        factors = ()
+    snf = smith_normal_form(action.weights.submatrix_cols(sorted(s)))
+    dim = action.rank - snf.rank
+    factors = tuple(d for d in snf.diag if d > 1)
     order = sum(1 for g in action.finite_group_elements() if g.apply_support(s) == s)
     return DiagonalizableGroup(dim, factors, max(order, 1))
 
@@ -562,17 +562,4 @@ def cone_over_projective(
     twist = tuple(int(e) for e in linearization_twist)
     if len(twist) != action.rank:
         raise InputError("twist length does not match the rank")
-    rows = [list(action.weights.row(i)) + [] for i in range(action.rank)]
-    rows.append([1] * action.dim)
-    new_w = IntMatrix.from_rows(rows, action.dim)
-    q = action.norm_form
-    new_q_rows = [list(q.row(i)) + [0] for i in range(action.rank)]
-    new_q_rows.append([0] * action.rank + [1])
-    new_q = IntMatrix.from_rows(new_q_rows, action.rank + 1)
-    new_fp = []
-    for el in action.finite_part:
-        aut_rows = [list(el.aut.row(i)) + [0] for i in range(action.rank)]
-        aut_rows.append([0] * action.rank + [1])
-        new_fp.append(FinitePartElement(el.perm, IntMatrix.from_rows(aut_rows, action.rank + 1)))
-    cone_action = TorusAction(action.rank + 1, new_w, new_q, tuple(new_fp))
-    return ConeReduction(cone_action, twist + (-d,))
+    return ConeReduction(action.with_factor([1] * action.dim), twist + (-d,))

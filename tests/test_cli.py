@@ -193,3 +193,30 @@ def test_non_list_legs_is_an_input_error(capsys):
                         "legs": 5})
     rc, doc = invoke(["quasimap", "--graph", graph], capsys)
     assert rc == 1 and doc["kind"] == "input"
+
+
+def test_malformed_psi_is_an_input_error(capsys):
+    action = '{"rank": 1, "weights": [[1], [-1]]}'
+    rc, doc = invoke(["walls", "--action", action, "--psi", "[1]"], capsys)
+    assert rc == 1 and doc["kind"] == "input"
+
+
+def test_non_integer_psi_entry_is_an_input_error(capsys):
+    action = '{"rank": 1, "weights": [[1], [-1]]}'
+    rc, doc = invoke(["generic-character", "--action", action, "--psi", '[[1,"a"]]'], capsys)
+    assert rc == 1 and doc["kind"] == "input"
+
+
+def test_every_support_guard_declines_with_one_text(capsys):
+    center = '{"coords": [1], "weights": [1]}'
+    for limit, argv, dim in (
+        (2, ["minimal-values", "--action", HYPERBOLA, "--char", "[1]"], 2),
+        (2, ["desing", "--action", HYPERBOLA], 2),
+        (4, ["desing", "--action", HYPERBOLA], 3),  # declined at the first blow-up
+        (4, ["eb", "--action", HYPERBOLA, "--center", center], 3),
+        (4, ["saturate", "--action", HYPERBOLA, "--center", center], 3),
+    ):
+        rc, doc = invoke(["--max-supports", str(limit), *argv], capsys)
+        assert rc == 2, argv
+        assert doc == {"error": f"2^{dim} supports exceed --max-supports={limit}",
+                       "kind": "declined"}, argv

@@ -91,6 +91,13 @@ def test_desingularize_requires_nonempty_start_locus():
         desingularize(a, (1,))
 
 
+def test_support_guard_runs_before_the_first_scan():
+    # every support is unstable for (1,), but the guard declines first
+    a = action([[1, 2]])
+    with pytest.raises(ComputationDeclined, match=r"2\^2 supports exceed --max-supports=2"):
+        desingularize(a, (1,), max_supports=2)
+
+
 def test_verify_tower_passes_on_worked_examples():
     for base, chi in ((HYPERBOLA, (0,)), (cubics_effective(), (0, 0))):
         report = verify_tower(desingularize(base, chi))

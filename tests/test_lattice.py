@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,16 @@ from torusgit.lattice import (
     RationalCone,
     cone_has_point_with,
     cone_nonzero_point,
+    det,
     dot,
+    feasible_system,
     hilbert_basis_bounded,
+    is_positive_definite,
     kernel_basis,
     monomials_up_to_degree,
     primitive,
     smith_normal_form,
+    solve_rational,
     unimodular_inverse,
 )
 
@@ -65,8 +70,6 @@ def test_snf_reconstruction(m):
         if snf.diag[i]:
             assert snf.diag[i + 1] % snf.diag[i] == 0
     # the transforms are unimodular
-    from torusgit.lattice import det
-
     assert abs(det(snf.left)) == 1
     assert abs(det(snf.right)) == 1
 
@@ -84,6 +87,184 @@ def test_unimodular_inverse_roundtrip():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = unimodular_inverse(m)
     assert m.mul(inv).entries == IntMatrix.identity(2).entries
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination, against the Fraction Gauss-Jordan loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_inverse(rows):
+    n = len(rows)
+    aug = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            raise InputError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
+        raise InputError("matrix is not unimodular")
+    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
+
+
+def _oracle_det(rows):
+    n = len(rows)
+    a = [[Fraction(e) for e in row] for row in rows]
+    sign = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for i in range(col + 1, n):
+            if a[i][col] != 0:
+                f = a[i][col] / a[col][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    prod = Fraction(sign)
+    for i in range(n):
+        prod *= a[i][i]
+    assert prod.denominator == 1
+    return int(prod)
+
+
+def _oracle_solve(gram, rhs):
+    n = len(gram)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(gram)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            raise InputError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    """Square integer matrices with many zeros; about a third are made
+    singular by replacing the last row with a combination of two others."""
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.just(0), st.integers(-1, 1), st.integers(-9, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.integers(0, 2)) == 0:
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@st.composite
+def unimodular_matrices(draw, max_n=5):
+    """Products of elementary integer row operations on the identity."""
+    n = draw(st.integers(1, max_n))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            if draw(st.booleans()):
+                rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def _inverse_outcome(rows):
+    kind, value = _outcome(unimodular_inverse, IntMatrix.from_rows(rows, len(rows)))
+    return (kind, value.entries) if kind == "ok" else (kind, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_match_fraction_elimination(rows):
+    m = IntMatrix.from_rows(rows, len(rows))
+    assert det(m) == _oracle_det(rows)
+    assert _inverse_outcome(rows) == _outcome(_oracle_inverse, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_matrices())
+def test_unimodular_inverse_matches_fraction_elimination(rows):
+    inv = _inverse_outcome(rows)
+    assert inv == ("ok", _oracle_inverse(rows))
+    assert IntMatrix.from_rows(rows).mul(IntMatrix.from_rows(inv[1])).entries == \
+        IntMatrix.identity(len(rows)).entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.data())
+def test_solve_rational_matches_fraction_elimination(rows, data):
+    n = len(rows)
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=n * n + n, max_size=n * n + n))
+    gram = [[Fraction(rows[i][j], dens[i * n + j]) for j in range(n)] for i in range(n)]
+    rhs = [Fraction(data.draw(st.integers(-9, 9)), dens[n * n + i]) for i in range(n)]
+    assert _outcome(solve_rational, gram, rhs) == _outcome(_oracle_solve, gram, rhs)
+    # integer input is taken as it is
+    int_rhs = [r.numerator for r in rhs]
+    assert _outcome(solve_rational, rows, int_rhs) == _outcome(
+        _oracle_solve, [[Fraction(x) for x in r] for r in rows], [Fraction(x) for x in int_rhs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(max_n=4), st.booleans())
+def test_positive_definite_matches_leading_minors(rows, gram):
+    n = len(rows)
+    if gram:  # A^T A + I, always positive definite
+        q = [[sum(rows[k][i] * rows[k][j] for k in range(n)) + (i == j) for j in range(n)]
+             for i in range(n)]
+    else:
+        q = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+    minors_positive = all(_oracle_det([r[:k] for r in q[:k]]) > 0 for k in range(1, n + 1))
+    assert is_positive_definite(IntMatrix.from_rows(q, n)) == minors_positive
+    if gram:
+        assert minors_positive
+
+
+def test_elimination_error_texts():
+    with pytest.raises(InputError, match="matrix is singular"):
+        unimodular_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(InputError, match="matrix is not unimodular"):
+        unimodular_inverse(IntMatrix.from_rows([[2, 1], [1, 2]]))
+    with pytest.raises(InputError, match="singular system"):
+        solve_rational([[0, 0], [1, 1]], [1, 2])
+    with pytest.raises(InputError):
+        det(IntMatrix.zero(2, 3))
+    assert det(IntMatrix.zero(0, 0)) == 1
+    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(max_n=4))
+def test_det_and_inverse_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    m = IntMatrix.from_rows(rows, n)
+    sm = sympy.Matrix(n, n, [e for row in rows for e in row])
+    assert det(m) == int(sm.det())
+    if n and abs(sm.det()) == 1:
+        assert unimodular_inverse(m).entries == tuple(
+            tuple(int(sm.inv()[i, j]) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +338,33 @@ def test_cone_nonzero_point_finds_rays_and_lineality():
     assert pt is not None
     # the zero cone
     assert cone_nonzero_point(((1,), (-1,)), 1) is None
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_cone_nonzero_point_is_complete_in_higher_dimensions(rng, dim):
+    """The cone is nonzero iff it has a point with x_i > 0 or x_i < 0 for
+    some i, which Fourier-Motzkin decides without the extreme-ray search.
+    Each draw takes dim random normals plus minus a non-negative
+    combination of them, so it is {0} whenever that combination is
+    positive and the normals are independent, and pointed or with a
+    lineality space otherwise."""
+    outcomes = set()
+    for _ in range(30):
+        normals = [tuple(rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(dim))
+                   for _ in range(dim)]
+        coeffs = [rng.randint(0, 2) for _ in normals]
+        normals.append(tuple(-sum(c * n[k] for c, n in zip(coeffs, normals)) for k in range(dim)))
+        normals += [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 1))]
+        base = [(n, False) for n in normals]
+        nonzero = any(
+            feasible_system(base + [(tuple(sign * (k == i) for k in range(dim)), True)], dim)
+            for i in range(dim) for sign in (1, -1))
+        pt = cone_nonzero_point(normals, dim)
+        assert (pt is not None) == nonzero, normals
+        if pt is not None:
+            assert any(pt) and all(dot(pt, n) >= 0 for n in normals)
+        outcomes.add(nonzero)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

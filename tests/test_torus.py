@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_action, random_character
 from torusgit.errors import InputError
 from torusgit.lattice import IntMatrix, dot, rank
+from torusgit.rees import MonomialWeightedCenter, extended_weighted_blowup
 from torusgit.torus import (
     FinitePartElement,
     SignedSquare,
@@ -33,6 +34,64 @@ def action(rows, **kw):
 
 
 HYPERBOLA = action([[1, -1]])  # A^2 with weights (1, -1)
+
+
+# ---------------------------------------------------------------------------
+# validation of the norm form and the finite part
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, message", [
+    ([[0, 1], [1, 0]], "positive definite"),  # zero leading minor
+    ([[1, 2], [2, 1]], "positive definite"),  # negative determinant
+    ([[1, 0], [0, 0]], "positive definite"),  # singular
+    ([[-1, 0], [0, -1]], "positive definite"),
+    ([[2, 1], [0, 1]], "symmetric"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "rank x rank"),
+])
+def test_rejects_bad_norm_forms(q, message):
+    with pytest.raises(InputError, match=message):
+        action([[1, 0], [0, 1]], norm_form=IntMatrix.from_rows(q))
+
+
+def test_accepts_positive_definite_norm_form():
+    a = action([[1, 0], [0, 1]], norm_form=IntMatrix.from_rows([[2, 1], [1, 1]]))
+    assert a.norm_form.entries == ((2, 1), (1, 1))
+
+
+def test_rejects_non_unimodular_finite_part():
+    double = FinitePartElement((0, 1), IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(InputError, match="unimodular"):
+        action([[1, 0], [0, 1]], finite_part=(double,))
+
+
+# ---------------------------------------------------------------------------
+# adding a torus factor
+# ---------------------------------------------------------------------------
+
+# rank 2 on A^3: x_1 and x_2 swapped together with the two torus factors
+SWAP = FinitePartElement((1, 0, 2), IntMatrix.from_rows([[0, 1], [1, 0]]))
+SWAPPED = action([[1, 0, 1], [0, 1, 1]], norm_form=IntMatrix.from_rows([[2, 1], [1, 2]]),
+                 finite_part=(SWAP,))
+Q_PLUS_ONE = ((2, 1, 0), (1, 2, 0), (0, 0, 1))
+SWAP_PLUS_ONE = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def test_blowup_ambient_adds_the_rees_factor():
+    eb = extended_weighted_blowup(SWAPPED, MonomialWeightedCenter((0, 1), (2, 2)))
+    amb = eb.ambient
+    assert amb.weights.entries == ((1, 0, 1, 0), (0, 1, 1, 0), (2, 2, 0, -1))
+    assert amb.norm_form.entries == Q_PLUS_ONE
+    assert [(el.perm, el.aut.entries) for el in amb.finite_part] == [((1, 0, 2, 3), SWAP_PLUS_ONE)]
+
+
+def test_cone_ambient_adds_the_scaling_factor():
+    red = cone_over_projective(SWAPPED, (1, 1), 3)
+    amb = red.action
+    assert amb.weights.entries == ((1, 0, 1), (0, 1, 1), (1, 1, 1))
+    assert amb.norm_form.entries == Q_PLUS_ONE
+    assert [(el.perm, el.aut.entries) for el in amb.finite_part] == [((1, 0, 2), SWAP_PLUS_ONE)]
+    assert red.character == (1, 1, -3)
 
 
 # ---------------------------------------------------------------------------
