@@ -436,9 +436,10 @@ def cone_nonzero_point(
     Every nonzero polyhedral cone contains either a nonzero point of its
     lineality space or an extreme ray.  Once the lineality space is {0}
     the cone is pointed, and each extreme ray is the 1-dimensional kernel
-    of dim - 1 linearly independent active normals.  So the search is
-    complete in every dimension, at a cost of about C(m, < dim) kernel
-    computations for m normals.
+    of dim - 1 linearly independent active normals.  Fewer than dim - 1
+    normals have a kernel of dimension >= 2, so only subsets of size
+    dim - 1 are tried.  The search is complete in every dimension, at a
+    cost of about C(m, dim - 1) kernel computations for m normals.
     """
     if dim == 0:
         return None
@@ -466,21 +467,20 @@ def cone_nonzero_point(
     if lin:
         return primitive(lin[0])
     seen: set[tuple[int, ...]] = set()
-    for size in range(dim):
-        for subset in itertools.combinations(range(len(normals)), size):
-            mat = IntMatrix.from_rows([list(normals[i]) for i in subset], dim)
-            basis = kernel_basis(mat)
-            if len(basis) != 1:
-                continue
-            v = primitive(basis[0])
-            if v in seen:
-                continue
-            seen.add(v)
-            if in_cone(v):
-                return v
-            w = tuple(-e for e in v)
-            if in_cone(w):
-                return w
+    for subset in itertools.combinations(range(len(normals)), dim - 1):
+        mat = IntMatrix.from_rows([list(normals[i]) for i in subset], dim)
+        basis = kernel_basis(mat)
+        if len(basis) != 1:
+            continue
+        v = primitive(basis[0])
+        if v in seen:
+            continue
+        seen.add(v)
+        if in_cone(v):
+            return v
+        w = tuple(-e for e in v)
+        if in_cone(w):
+            return w
     return None
 
 

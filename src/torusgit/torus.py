@@ -380,9 +380,16 @@ def _subsets(items: Sequence[int]):
 
 def in_orbit_changing_locus(action: TorusAction, s: Support) -> bool:
     """Whether some limit actually changes the orbit: exists lambda in the
-    limit cone with <lambda, chi_j> > 0 for some j in s."""
+    limit cone with <lambda, chi_j> > 0 for some j in s.
+
+    On the limit cone every <lambda, chi_j> is >= 0, so one of them is
+    > 0 iff their sum is: one Fourier-Motzkin system with the strict row
+    sum_{j in s} chi_j.  For the empty support that row is 0, and the
+    answer is False.
+    """
     cone = limit_cone(action, s)
-    return any(cone_has_point_with(cone, action.character(j), STRICT) for j in sorted(s))
+    total = [sum(action.character(j)[i] for j in s) for i in range(action.rank)]
+    return cone_has_point_with(cone, total, STRICT)
 
 
 def minimal_hm_values(action: TorusAction, chi: Sequence[int]) -> frozenset[SignedSquare]:

@@ -5,8 +5,11 @@ torus G_m^n mapping onto T with finite kernel, the forbidden locus in the
 character space of G_m^n is the union of the pullbacks of the hyperplanes
 of X(T)_Q spanned by rank-(r-1) subsets of the weight columns.  A
 character off every wall has equal semistable and stable loci over all
-supports; that is the sufficiency certified by ``verify_ss_equals_s``
-(the wall set may be over-inclusive, and necessity is not asserted).
+supports (the wall set may be over-inclusive, and necessity is not
+asserted).  ``verify_ss_equals_s`` certifies that equality without
+scanning supports: it looks for -chi in the cone over a linearly
+independent set of fewer than r weight columns, O(N^(r-1)) small exact
+solves.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ComputationDeclined, InputError
-from .lattice import IntMatrix, dot, kernel_basis, primitive, rank
-from .torus import Support, TorusAction, is_semistable, is_stable, support_key
+from .lattice import IntMatrix, det, dot, kernel_basis, primitive, rank, solve_rational
+from .torus import Support, TorusAction
 
 
 @dataclass(frozen=True)
@@ -128,16 +131,44 @@ def pull_back(arrangement: WallArrangement, mu: Sequence[int]) -> tuple[int, ...
 def verify_ss_equals_s(
     action: TorusAction, mu_pulled: Sequence[int], max_dim: int = 20
 ) -> tuple[bool, Support | None]:
-    """Exhaustively check that every semistable support is stable.
+    """Check that every semistable support is stable.
 
-    Supports are scanned by size then lexicographically; the first
-    semistable-but-not-stable support is returned as a counterexample.
+    Returns (True, None), or (False, s) for the first semistable but not
+    stable support s in ``support_key`` order (by size, then
+    lexicographically).  No support is scanned; the check rests on this:
+
+    * Farkas: s is semistable for chi iff -chi lies in the orbit cone
+      K(s) = cone(chi_j : j in s), the dual of the limit cone of s.
+    * Duality: s is stable iff -chi lies in the interior of K(s) in
+      X(T)_Q; a K(s) spanning less than X(T)_Q has empty interior.
+    * So a semistable, non-stable s has -chi in a face of K(s) of
+      dimension < r.  By Caratheodory, -chi then lies in cone(B) for a
+      linearly independent B inside s with |B| < r.
+    * Such a B is itself semistable and not stable, since K(B) spans
+      less than X(T)_Q, and ``support_key(B) <= support_key(s)``.
+
+    Hence the first counterexample is the first independent B with
+    |B| < r and -chi in cone(B).  Subsets B are scanned by size, then
+    lexicographically; each needs one determinant of its Gram matrix and
+    one exact solve, O(N^(r-1)) in all.  B = {} covers chi = 0, and
+    rank-deficient weights need no special case.
     """
     if action.dim > max_dim:
         raise ComputationDeclined(
             f"2^{action.dim} supports exceed the guard (max_dim={max_dim})"
         )
-    for s in sorted(action.all_supports(), key=support_key):
-        if is_semistable(action, mu_pulled, s) and not is_stable(action, mu_pulled, s):
-            return False, s
+    target = tuple(-e for e in action.check_invariant_character(mu_pulled))
+    cols = [action.character(j) for j in range(action.dim)]
+    for size in range(action.rank):
+        for b in itertools.combinations(range(action.dim), size):
+            vecs = [cols[j] for j in b]
+            gram = [[dot(u, v) for v in vecs] for u in vecs]
+            if det(IntMatrix.from_rows(gram, size)) == 0:
+                continue  # the columns of B are linearly dependent
+            c = solve_rational(gram, [dot(u, target) for u in vecs])
+            if all(x >= 0 for x in c) and all(
+                sum(x * v[i] for x, v in zip(c, vecs)) == target[i]
+                for i in range(action.rank)
+            ):
+                return False, frozenset(b)
     return True, None

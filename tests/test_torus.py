@@ -232,6 +232,26 @@ def test_orbit_changing_locus():
     assert not in_orbit_changing_locus(HYPERBOLA, frozenset())
 
 
+@st.composite
+def action_and_support(draw):
+    r, n = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    w = IntMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)], n)
+    return TorusAction(r, w), frozenset(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_and_support())
+def test_orbit_changing_locus_matches_one_system_per_character(inputs):
+    """The one-system test equals the union of one strict system per
+    character of the support, the empty support included."""
+    from torusgit.lattice import STRICT, cone_has_point_with
+
+    a, s = inputs
+    cone = limit_cone(a, s)
+    expected = any(cone_has_point_with(cone, a.character(j), STRICT) for j in sorted(s))
+    assert in_orbit_changing_locus(a, s) == expected
+
+
 def test_normalized_min_against_lattice_brute_force(rng):
     """The face-enumeration minimum is achieved by its reported feasible
     minimizer and is not beaten by any lattice direction in a box, under

@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_action, random_character
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import IntMatrix
-from torusgit.torus import TorusAction
+from torusgit.torus import FinitePartElement, TorusAction, is_semistable, is_stable, support_key
 from torusgit.walls import (
     compute_walls,
     find_generic_character,
@@ -82,9 +84,100 @@ def test_pull_back_is_psi():
     assert pull_back(arr, (3, 1)) == (5,)
 
 
-def test_verify_ss_equals_s_generic_and_degenerate():
-    from torusgit.torus import is_semistable, is_stable
+def _exhaustive_oracle(a, chi):
+    """Every support, by size then lexicographically: the first semistable
+    but not stable one, or (True, None)."""
+    for s in sorted(a.all_supports(), key=support_key):
+        if is_semistable(a, chi, s) and not is_stable(a, chi, s):
+            return False, s
+    return True, None
 
+
+def _swap(r):
+    """The automorphism of Z^r exchanging the first two coordinates."""
+    return IntMatrix.from_rows([[int(j == (1 - i if i < 2 else i)) for j in range(r)]
+                                for i in range(r)], r)
+
+
+@st.composite
+def chamber_inputs(draw):
+    """(action, chi) at rank 0-4 with at most 7 coordinates: random weights,
+    rank-deficient weights (a last row that is a combination of the others),
+    or a finite part swapping the first two character coordinates, with
+    chi random, zero, minus a non-negative combination of all columns, or
+    minus a positive combination of fewer than r columns (orbit sums of
+    them under the swap)."""
+    r = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["random", "deficient", "swap"] if r >= 2 else ["random"]))
+    entry = st.integers(-2, 2)
+    finite = ()
+    if kind == "swap":
+        # columns come in pairs (v, swapped v) or as single swap-fixed columns
+        cols, perm, n = [], [], draw(st.integers(0, 7))
+        while len(cols) < n:
+            v = [draw(entry) for _ in range(r)]
+            if len(cols) + 2 <= n and draw(st.booleans()):
+                perm += [len(cols) + 1, len(cols)]
+                cols += [v, [v[1], v[0]] + v[2:]]
+            else:
+                perm.append(len(cols))
+                cols.append([v[0], v[0]] + v[2:])
+        finite = (FinitePartElement(tuple(perm), _swap(r)),)
+    else:
+        cols = [[draw(entry) for _ in range(r)] for _ in range(draw(st.integers(0, 7)))]
+        if kind == "deficient":
+            f = [draw(entry) for _ in range(r - 1)]
+            cols = [c[:-1] + [sum(x * y for x, y in zip(f, c))] for c in cols]
+    n = len(cols)
+    a = TorusAction(r, IntMatrix.from_rows([[c[i] for c in cols] for i in range(r)], n),
+                    finite_part=finite)
+    how = draw(st.sampled_from(["random", "zero", "cone", "wall"]))
+    if how == "zero":
+        chi = (0,) * r
+    elif how in ("cone", "wall") and n:
+        coeffs = [draw(st.integers(0, 2)) for _ in range(n)]
+        if how == "wall":
+            k = max(r - 1, 0)
+            few = draw(st.sets(st.integers(0, n - 1), min_size=min(k, 1), max_size=k))
+            coeffs = [draw(st.integers(1, 2)) if j in few else 0 for j in range(n)]
+        if kind == "swap":  # an orbit sum keeps chi invariant
+            coeffs = [x + coeffs[perm[j]] for j, x in enumerate(coeffs)]
+        chi = tuple(-sum(x * c[i] for x, c in zip(coeffs, cols)) for i in range(r))
+    else:
+        chi = tuple(draw(entry) for _ in range(r))
+        if kind == "swap":
+            chi = (chi[0], chi[0]) + chi[2:]
+    return a, chi
+
+
+@settings(max_examples=300, deadline=None)
+@given(chamber_inputs())
+def test_verify_matches_the_exhaustive_oracle(inputs):
+    a, chi = inputs
+    assert verify_ss_equals_s(a, chi) == _exhaustive_oracle(a, chi)
+
+
+def test_verify_scans_no_supports(monkeypatch):
+    """At rank 3 with 18 coordinates the check finishes with Fourier-Motzkin
+    and the cone-point search disabled, so it runs neither per support."""
+    import torusgit.lattice
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("support scan")
+
+    monkeypatch.setattr(torusgit.lattice, "feasible_system", disabled)
+    monkeypatch.setattr(torusgit.lattice, "cone_nonzero_point", disabled)
+    cols = [(i % 3 - 1, (i // 3) % 3 - 1, 1 + i // 9) for i in range(18)]
+    a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)], 18))
+    mu = find_generic_character(compute_walls(a, IntMatrix.identity(3)), 8)
+    assert verify_ss_equals_s(a, mu) == (True, None)
+    assert verify_ss_equals_s(a, (0, 0, -3)) == (False, frozenset({4}))  # -chi = 3 cols[4]
+    assert verify_ss_equals_s(a, (1, 0, -1)) == (False, frozenset({3}))  # -chi = cols[3]
+    # -chi = cols[0] + cols[1] is parallel to no single column
+    assert verify_ss_equals_s(a, (1, 2, -2)) == (False, frozenset({0, 1}))
+
+
+def test_verify_ss_equals_s_generic_and_degenerate():
     ok, ce = verify_ss_equals_s(HYPERBOLA, (1,))
     assert ok and ce is None
     ok, ce = verify_ss_equals_s(HYPERBOLA, (0,))
@@ -105,8 +198,27 @@ def test_verify_vacuous_on_dimension_zero():
 
 def test_verify_guard():
     big = TorusAction(1, IntMatrix.from_rows([[1] * 21]))
-    with pytest.raises(ComputationDeclined):
+    with pytest.raises(ComputationDeclined, match=r"^2\^21 supports exceed the guard \(max_dim=20\)$"):
         verify_ss_equals_s(big, (1,))
+
+
+def test_verify_error_order():
+    """The dimension guard comes before the character checks, which keep
+    the texts of the predicates."""
+    swapped = FinitePartElement((1, 0), _swap(2))
+    small = TorusAction(2, IntMatrix.from_rows([[1, 0], [0, 1]]), finite_part=(swapped,))
+    big = TorusAction(2, IntMatrix.from_rows([[1, 0] * 10 + [1], [0, 1] * 10 + [1]]),
+                      finite_part=(FinitePartElement(
+                          tuple(j + 1 - 2 * (j % 2) for j in range(20)) + (20,), _swap(2)),))
+    for chi in [(1, 2), (1,)]:
+        with pytest.raises(ComputationDeclined):
+            verify_ss_equals_s(big, chi)
+    with pytest.raises(InputError, match="^character length does not match the torus rank$"):
+        verify_ss_equals_s(small, (1,))
+    with pytest.raises(InputError, match="^character is not invariant under the finite part$"):
+        verify_ss_equals_s(small, (1, 2))
+    assert verify_ss_equals_s(small, (-1, -1)) == (True, None)
+    assert verify_ss_equals_s(big, (-1, -1), max_dim=21) == (False, frozenset({20}))
 
 
 def test_genericity_soundness(rng):
