@@ -18,9 +18,9 @@ quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import ComputationDeclined, InputError
 from .lattice import monomials_up_to_degree, rank
 from .rees import (
@@ -42,7 +42,7 @@ from .torus import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DesingStep:
     presentation: EBPresentation
     center: MonomialWeightedCenter
@@ -50,7 +50,7 @@ class DesingStep:
     character: tuple[int, ...]  # accumulated linearization on the step ambient
 
 
-@dataclass(frozen=True)
+@record
 class DesingTower:
     base: TorusAction
     start_character: tuple[int, ...]
@@ -142,7 +142,7 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TowerCheck:
     step: int  # -1 for tower-level checks
     name: str
@@ -150,7 +150,7 @@ class TowerCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class TowerReport:
     ok: bool
     checks: tuple[TowerCheck, ...]

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import InputError, InternalError
 
 
@@ -36,7 +36,7 @@ def _as_int_tuple(entries: Iterable[int]) -> tuple[int, ...]:
     return tuple(int(e) for e in entries)
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, row-major.
 
@@ -81,9 +81,10 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError("matrix shapes do not compose")
-        ot = other.transpose()
+        # columns without building the transpose; with no rows, zip yields none
+        other_cols = tuple(zip(*other.entries)) or ((),) * other.cols
         data = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in ot.entries)
+            tuple(sum(a * b for a, b in zip(r, c)) for c in other_cols)
             for r in self.entries
         )
         return IntMatrix(self.rows, other.cols, data)
@@ -132,7 +133,7 @@ def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """U * M * V = diag(d_1, ..., d_k) with d_1 | d_2 | ... and U, V unimodular."""
 
@@ -335,7 +336,7 @@ def solve_rational(gram: Sequence[Sequence[int | Fraction]],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RationalCone:
     """{lambda : <lambda, n_k> >= 0 for every normal n_k}.
 

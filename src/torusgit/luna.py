@@ -23,9 +23,9 @@ one-step desingularization tower.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import InputError, InternalError
 from .lattice import IntMatrix, hilbert_basis_bounded, kernel_basis, rank
 from .desing import DesingTower, desingularize, verify_tower
@@ -148,7 +148,7 @@ def cubics_slice() -> TorusAction:
     return TorusAction(3, bare.weights, finite_part=_permutation_finite_part())
 
 
-@dataclass(frozen=True)
+@record
 class CubicsCertificate:
     """Every number the plane-cubics example pins down, recomputed on demand."""
 

@@ -26,10 +26,10 @@ All arithmetic is exact (integers and Fractions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
+from ._record import record
 from .errors import InputError
 from .lattice import IntMatrix
 from .torus import TorusAction, cone_over_projective, is_semistable, is_stable
@@ -38,7 +38,7 @@ LOG_BUNDLE = "L_X"
 DM_BUNDLE = "L"
 
 
-@dataclass(frozen=True)
+@record
 class Vertex:
     genus: int
     in_dm_locus: bool
@@ -51,7 +51,7 @@ class Vertex:
                            {k: Fraction(v) for k, v in dict(self.degrees).items()})
 
 
-@dataclass(frozen=True)
+@record
 class TwistedCurveGraph:
     """Dual graph of a twisted nodal marked curve with tracked degrees."""
 
@@ -226,6 +226,8 @@ def check_binary_forms(multiplicities: Sequence[int], n: int,
     """GIT rules for a degree-2n divisor on P^1 given its multiplicity
     pattern: semistable iff max multiplicity <= n, in the DM locus iff
     max multiplicity <= n - 1."""
+    if n < 1:
+        raise InputError("n must be >= 1")
     mults = [int(m) for m in multiplicities]
     if any(m < 1 for m in mults):
         raise InputError("multiplicities must be positive")
@@ -251,6 +253,8 @@ def binary_forms_hm(multiplicities: Sequence[int], n: int,
     multiplicity a at 0 and b at infinity leaves the coefficients
     a..2n-b generically nonzero.
     """
+    if n < 1:
+        raise InputError("n must be >= 1")
     mults = [int(m) for m in multiplicities]
     if sum(mults) != 2 * n:
         raise InputError(f"multiplicities must sum to 2n = {2 * n}")
@@ -275,7 +279,7 @@ def binary_forms_hm(multiplicities: Sequence[int], n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DivisorConfig:
     """A degree-2n divisor on P^1 or on a twisted conic, by per-component
     point multiplicities on the smooth locus."""
@@ -323,7 +327,7 @@ def check_twisted_conic(cfg: DivisorConfig) -> tuple[bool, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DvrMapData:
     """Orders of vanishing of the coordinate pullbacks at the closed point
     of a DVR mapping generically off every axis and specially to the origin."""
@@ -338,7 +342,7 @@ class DvrMapData:
                              "(the generic point must map off the axes)")
 
 
-@dataclass(frozen=True)
+@record
 class DvrLift:
     m: int
     lifted_orders: tuple[int, ...]
@@ -368,7 +372,7 @@ def dvr_lift(data: DvrMapData) -> DvrLift:
 PENCIL_LEGS = 12
 
 
-@dataclass(frozen=True)
+@record
 class PencilReport:
     ok: bool
     vertex_results: tuple[tuple[int, bool], ...]

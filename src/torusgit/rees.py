@@ -18,9 +18,9 @@ theta is the distinguished character t -> t^{-1} of the Rees factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import ComputationDeclined, InputError
 from .lattice import monomials_up_to_degree
 from .torus import (
@@ -33,7 +33,7 @@ from .torus import (
 DEFAULT_MAX_SUPPORTS = 1 << 20
 
 
-@dataclass(frozen=True)
+@record
 class MonomialWeightedCenter:
     coords: tuple[int, ...]  # 0-based, strictly increasing, nonempty
     weights: tuple[int, ...]  # aligned with coords, all >= 1
@@ -54,7 +54,7 @@ class MonomialWeightedCenter:
         return sum(self.weight_of(j) * exponents[j] for j in self.coords)
 
 
-@dataclass(frozen=True)
+@record
 class EBPresentation:
     """Graded presentation of an extended weighted blow-up."""
 
@@ -128,7 +128,7 @@ def saturated_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS
     return sorted(out, key=support_key)
 
 
-@dataclass(frozen=True)
+@record
 class ExceptionalDivisor:
     """The Cartier divisor V(T): supports on it are those omitting T."""
 

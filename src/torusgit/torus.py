@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import InputError, InternalError
 from .lattice import (
     NONNEG,
@@ -62,7 +62,7 @@ def support_key(s: Support) -> tuple[int, tuple[int, ...]]:
     return (len(t), t)
 
 
-@dataclass(frozen=True)
+@record
 class FinitePartElement:
     """A permutation of the coordinates together with the compatible
     unimodular automorphism of the character lattice: aut * chi_j = chi_{perm(j)}."""
@@ -74,7 +74,7 @@ class FinitePartElement:
         return frozenset(self.perm[j] for j in s)
 
 
-@dataclass(frozen=True)
+@record
 class TorusAction:
     """Diagonal action of G_m^rank on A^dim, with an optional finite
     permutation part and a norm form on the cocharacter lattice."""
@@ -178,7 +178,7 @@ class TorusAction:
         return list(seen.values())
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalizableGroup:
     """A stabilizer: torus of `dimension`, component group +(Z/d_i), and the
     order of the finite permutation part preserving the support."""
@@ -241,7 +241,7 @@ def semistable_supports(action: TorusAction, chi: Sequence[int]) -> list[Support
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=False)
+@record
 class SignedSquare:
     """The exact value sign * sqrt(square), with square a non-negative rational."""
 
@@ -278,7 +278,7 @@ class SignedSquare:
         return self == other or self < other
 
 
-@dataclass(frozen=True)
+@record
 class HmMinimum:
     value: SignedSquare
     minimizer: tuple[int, ...]
@@ -413,7 +413,7 @@ def minimal_hm_values(action: TorusAction, chi: Sequence[int]) -> frozenset[Sign
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CombinedLinearization:
     m0: int
     combined: tuple[int, ...]
@@ -512,7 +512,7 @@ def stabilizer(action: TorusAction, s: Support) -> DiagonalizableGroup:
     return DiagonalizableGroup(dim, factors, max(order, 1))
 
 
-@dataclass(frozen=True)
+@record
 class Effectivization:
     action: TorusAction
     quotiented_cocharacters: tuple[tuple[int, ...], ...]  # basis of the killed subtorus
@@ -551,7 +551,7 @@ def effectivize(action: TorusAction) -> Effectivization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConeReduction:
     action: TorusAction  # rank + 1, same coordinates; the cone G_m scales all of A^N
     character: tuple[int, ...]  # (twist, -d)

@@ -15,15 +15,15 @@ solves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import ComputationDeclined, InputError
 from .lattice import IntMatrix, det, dot, kernel_basis, primitive, rank, solve_rational
 from .torus import Support, TorusAction
 
 
-@dataclass(frozen=True)
+@record
 class WallArrangement:
     """Finitely many linear hyperplanes in X(G_m^n)_Q, stored by their
     primitive integer normals, together with the pullback map psi."""

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import torusgit
 from torusgit.cli import run
 
 
@@ -111,6 +116,22 @@ def test_binary_forms_and_conic_and_dvr(capsys):
     assert rc == 0 and doc == {"valid_in_cy": True, "in_dm": True}
     rc, doc = invoke(["dvr-lift", "--orders", "[2,2,2]"], capsys)
     assert rc == 0 and doc["meets_some_axis"] is False
+
+
+def test_binary_forms_n_zero_is_an_input_error(capsys):
+    rc, doc = invoke(["binary-forms", "--n", "0", "--mults", "[]"], capsys)
+    assert rc == 1 and doc == {"error": "n must be >= 1", "kind": "input"}
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """The CLI's start-up cost: importing it must not pull in either module."""
+    code = ("import sys; before = set(sys.modules); import torusgit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(torusgit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_luna_cubics_certificate(capsys):

@@ -1,16 +1,16 @@
-import dataclasses
-
 import pytest
 
 from conftest import random_action
 from torusgit.desing import (
+    DesingStep,
+    DesingTower,
     desingularize,
     max_stabilizer_centers,
     verify_tower,
 )
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import IntMatrix
-from torusgit.rees import MonomialWeightedCenter
+from torusgit.rees import EBPresentation, MonomialWeightedCenter
 from torusgit.torus import TorusAction, effectivize, is_semistable, stabilizer
 
 
@@ -120,10 +120,13 @@ def test_verify_tower_zero_steps_vacuous():
 def test_verify_tower_detects_corrupted_theta():
     tower = desingularize(HYPERBOLA, (0,))
     step = tower.steps[0]
-    bad_theta = tuple(-e for e in step.presentation.theta)
-    bad_presentation = dataclasses.replace(step.presentation, theta=bad_theta)
-    bad_step = dataclasses.replace(step, presentation=bad_presentation)
-    bad_tower = dataclasses.replace(tower, steps=(bad_step,))
+    eb = step.presentation
+    bad_theta = tuple(-e for e in eb.theta)
+    bad_presentation = EBPresentation(eb.original, eb.center, eb.ambient, bad_theta,
+                                      eb.exceptional_index, eb.substitution)
+    bad_step = DesingStep(bad_presentation, step.center, step.m0, step.character)
+    bad_tower = DesingTower(tower.base, tower.start_character, (bad_step,),
+                            tower.final_character, tower.final_dm_supports)
     report = verify_tower(bad_tower)
     assert not report.ok
     failing = {c.name for c in report.checks if not c.ok}

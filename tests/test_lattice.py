@@ -74,6 +74,21 @@ def test_snf_reconstruction(m):
     assert abs(det(snf.right)) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_mul_matches_triple_loop(r, k, c, data):
+    """Every shape, empty inner or outer dimensions included."""
+    def matrix(n, m):
+        rows = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                                  min_size=n, max_size=n))
+        return IntMatrix.from_rows(rows, m)
+
+    a, b = matrix(r, k), matrix(k, c)
+    want = tuple(tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(k)) for j in range(c))
+                 for i in range(r))
+    assert a.mul(b) == IntMatrix(r, c, want)
+
+
 def test_kernel_basis_spans_kernel():
     m = IntMatrix.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     basis = kernel_basis(m)

@@ -225,6 +225,11 @@ def test_binary_forms_examples():
     assert not check_binary_forms((4, 1, 1), 3, "stable_dm")
     with pytest.raises(InputError):
         check_binary_forms((2, 2), 3, "semistable")
+    for n in (0, -1):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            check_binary_forms((), n, "semistable")
+        with pytest.raises(InputError, match="n must be >= 1"):
+            binary_forms_hm((), n, "stable_dm")
 
 
 def _partitions(total):
