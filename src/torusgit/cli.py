@@ -24,7 +24,7 @@ from . import luna as luna_mod
 from . import quasimap as qm
 from . import rees as rees_mod
 from . import walls as walls_mod
-from .errors import ComputationDeclined, InputError, InternalError, TorusGitError
+from .errors import InputError, TorusGitError
 from .lattice import IntMatrix, hilbert_basis_bounded
 from .torus import (
     SignedSquare,
@@ -355,18 +355,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         result = args.fn(args)
-    except InputError as exc:
-        sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": "input"}))
-        return 1
-    except ComputationDeclined as exc:
-        sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": "declined"}))
-        return 2
-    except InternalError as exc:
-        sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": "internal"}))
-        return 3
-    except TorusGitError as exc:  # pragma: no cover - defensive
-        sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": "internal"}))
-        return 3
+    except TorusGitError as exc:
+        sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": exc.kind}))
+        return exc.exit_code
     sys.stdout.write(jsonio.dumps(result))
     return 0
 

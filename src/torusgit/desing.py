@@ -35,10 +35,9 @@ from .torus import (
     Support,
     TorusAction,
     combine_linearizations,
-    is_semistable,
     is_stable,
+    semistable_supports,
     stabilizer,
-    support_key,
 )
 
 
@@ -107,7 +106,7 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
     if rank(action.weights) < action.rank:
         raise InputError("the action has a positive-dimensional kernel; effectivize first")
     current = action
-    live = [s for s in current.all_supports() if is_semistable(current, chi, s)]
+    live = semistable_supports(current, chi)
     if not live:
         raise InputError("the start character has an empty semistable locus")
     if not is_stable(current, chi, frozenset(range(current.dim))):
@@ -131,10 +130,9 @@ def desingularize(action: TorusAction, start_character: Sequence[int],
         combo = combine_linearizations(eb.ambient, lifted, eb.theta)
         current = eb.ambient
         chi = combo.combined
-        live = [s for s in current.all_supports() if is_semistable(current, chi, s)]
+        live = semistable_supports(current, chi)
         steps.append(DesingStep(eb, center, combo.m0, chi))
-    return DesingTower(action, tuple(start_character), tuple(steps), chi,
-                       tuple(sorted(live, key=support_key)))
+    return DesingTower(action, tuple(start_character), tuple(steps), chi, tuple(live))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ loci) reduces to a handful of primitives implemented here:
 * one fraction-free (Bareiss) Gauss-Jordan elimination, behind the
   determinant, the unimodular inverse, exact rational solves and
   Sylvester's positive-definiteness test;
-* feasibility of homogeneous systems of linear inequalities over the
-  rationals, decided by Fourier-Motzkin elimination (mixed strict and
-  non-strict inequalities are supported);
+* the one strict cone question -- is there a lambda in a rational
+  polyhedral cone with <lambda, objective> > 0? -- decided by
+  Fourier-Motzkin elimination of a mixed strict/non-strict system;
 * extraction of a nonzero integer point from a rational polyhedral cone,
   by enumerating candidate minimal faces;
 * bounded enumeration of the minimal generators of the monoid of
@@ -352,9 +352,6 @@ class RationalCone:
                 raise InputError("inequality normal has wrong length")
 
 
-STRICT = "strict"
-NONNEG = "nonneg"
-
 _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
 
 
@@ -401,38 +398,21 @@ def feasible_system(rows: list[_Row], dim: int) -> bool:
     return True
 
 
-def cone_has_point_with(
-    cone: RationalCone,
-    objective: Sequence[int],
-    strictness: str,
-    exclude_zero: bool = False,
-) -> bool:
-    """Does the cone contain a rational point pairing with the objective as asked?
+def cone_has_point_with(cone: RationalCone, objective: Sequence[int]) -> bool:
+    """Is there a lambda in the cone with <lambda, objective> > 0?
 
-    ``strictness`` is ``STRICT`` (<lambda, objective> > 0) or ``NONNEG``
-    (>= 0); with ``exclude_zero`` the point must be nonzero.  Decisions are
-    exact (Fourier-Motzkin, resp. minimal-face enumeration).
+    Only the strict question is asked; the strict row already excludes
+    lambda = 0.  Decided exactly by Fourier-Motzkin elimination.  A
+    nonzero point of a cone is ``cone_nonzero_point``'s question.
     """
     if len(objective) != cone.ambient_dim:
         raise InputError("objective length does not match the cone dimension")
-    obj = _as_int_tuple(objective)
-    base = [(n, False) for n in cone.inequalities]
-    if strictness == STRICT:
-        # a strict inequality already excludes lambda = 0
-        return feasible_system(base + [(obj, True)], cone.ambient_dim)
-    if strictness != NONNEG:
-        raise InputError(f"unknown strictness {strictness!r}")
-    if not exclude_zero:
-        return True  # lambda = 0 always qualifies
-    return cone_nonzero_point(cone.inequalities + (obj,), cone.ambient_dim) is not None
+    rows = [(n, False) for n in cone.inequalities] + [(_as_int_tuple(objective), True)]
+    return feasible_system(rows, cone.ambient_dim)
 
 
-def cone_nonzero_point(
-    ineqs: Sequence[Sequence[int]],
-    dim: int,
-    eqs: Sequence[Sequence[int]] = (),
-) -> tuple[int, ...] | None:
-    """A nonzero integer point of {x : eqs x = 0, <m, x> >= 0 for m in ineqs}.
+def cone_nonzero_point(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:
+    """A nonzero integer point of {x : <m, x> >= 0 for m in rows}.
 
     Every nonzero polyhedral cone contains either a nonzero point of its
     lineality space or an extreme ray.  Once the lineality space is {0}
@@ -444,18 +424,7 @@ def cone_nonzero_point(
     """
     if dim == 0:
         return None
-    if eqs:
-        basis = kernel_basis(IntMatrix.from_rows([list(e) for e in eqs], dim))
-        if not basis:
-            return None
-        bmat = IntMatrix.from_rows([list(b) for b in basis]).transpose()  # dim x k
-        sub = [bmat.transpose().mul_vec(list(m)) for m in ineqs]  # <m, B y> = <B^T m, y>
-        pt = cone_nonzero_point(sub, len(basis))
-        if pt is None:
-            return None
-        return primitive(bmat.mul_vec(pt))
-
-    normals = [primitive(m) for m in ineqs]
+    normals = [primitive(m) for m in rows]
     normals = [m for m in normals if any(e != 0 for e in m)]
     if not normals:
         return tuple(1 if i == 0 else 0 for i in range(dim))

@@ -221,11 +221,9 @@ SEMISTABLE = "semistable"
 STABLE_DM = "stable_dm"
 
 
-def check_binary_forms(multiplicities: Sequence[int], n: int,
-                       mode: Literal["semistable", "stable_dm"]) -> bool:
-    """GIT rules for a degree-2n divisor on P^1 given its multiplicity
-    pattern: semistable iff max multiplicity <= n, in the DM locus iff
-    max multiplicity <= n - 1."""
+def _binary_form_multiplicities(multiplicities: Sequence[int], n: int) -> list[int]:
+    """The multiplicities of a degree-2n divisor on P^1, checked: n >= 1,
+    each multiplicity positive, and their sum 2n."""
     if n < 1:
         raise InputError("n must be >= 1")
     mults = [int(m) for m in multiplicities]
@@ -233,6 +231,15 @@ def check_binary_forms(multiplicities: Sequence[int], n: int,
         raise InputError("multiplicities must be positive")
     if sum(mults) != 2 * n:
         raise InputError(f"multiplicities must sum to 2n = {2 * n}")
+    return mults
+
+
+def check_binary_forms(multiplicities: Sequence[int], n: int,
+                       mode: Literal["semistable", "stable_dm"]) -> bool:
+    """GIT rules for a degree-2n divisor on P^1 given its multiplicity
+    pattern: semistable iff max multiplicity <= n, in the DM locus iff
+    max multiplicity <= n - 1."""
+    mults = _binary_form_multiplicities(multiplicities, n)
     if mode == SEMISTABLE:
         return max(mults) <= n
     if mode == STABLE_DM:
@@ -253,11 +260,7 @@ def binary_forms_hm(multiplicities: Sequence[int], n: int,
     multiplicity a at 0 and b at infinity leaves the coefficients
     a..2n-b generically nonzero.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    mults = [int(m) for m in multiplicities]
-    if sum(mults) != 2 * n:
-        raise InputError(f"multiplicities must sum to 2n = {2 * n}")
+    mults = _binary_form_multiplicities(multiplicities, n)
     base = TorusAction(1, IntMatrix.from_rows([[k - n for k in range(2 * n + 1)]]))
     reduction = cone_over_projective(base, (0,), 1)
     placements = {(0, 0)}

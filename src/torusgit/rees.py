@@ -23,12 +23,7 @@ from typing import Sequence
 from ._record import record
 from .errors import ComputationDeclined, InputError
 from .lattice import monomials_up_to_degree
-from .torus import (
-    Support,
-    TorusAction,
-    is_semistable,
-    support_key,
-)
+from .torus import Support, TorusAction, semistable_supports
 
 DEFAULT_MAX_SUPPORTS = 1 << 20
 
@@ -114,8 +109,7 @@ def weighted_blowup_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SU
     whose limit fails to exist precisely when some X_j is present."""
     guard_supports(eb.ambient.dim, max_supports)
     zset = set(eb.center.coords)
-    out = [s for s in eb.ambient.all_supports() if s & zset]
-    return sorted(out, key=support_key)
+    return [s for s in eb.ambient.all_supports() if s & zset]
 
 
 def saturated_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS) -> list[Support]:
@@ -124,8 +118,7 @@ def saturated_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS
     Always contained in the weighted blow-up locus, with equality when the
     original torus is trivial."""
     guard_supports(eb.ambient.dim, max_supports)
-    out = [s for s in eb.ambient.all_supports() if is_semistable(eb.ambient, eb.theta, s)]
-    return sorted(out, key=support_key)
+    return semistable_supports(eb.ambient, eb.theta)
 
 
 @record
@@ -146,8 +139,7 @@ def exceptional_divisor(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPP
     zset = set(eb.center.coords)
     on_div = [s for s in eb.ambient.all_supports() if t not in s]
     inter = [s for s in on_div if s & zset]
-    return ExceptionalDivisor(t, tuple(sorted(on_div, key=support_key)),
-                              tuple(sorted(inter, key=support_key)))
+    return ExceptionalDivisor(t, tuple(on_div), tuple(inter))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ from typing import Iterable, Sequence
 from ._record import record
 from .errors import InputError, InternalError
 from .lattice import (
-    NONNEG,
-    STRICT,
-    feasible_system,
     IntMatrix,
     RationalCone,
     cone_has_point_with,
@@ -144,10 +141,9 @@ class TorusAction:
             raise InputError(f"support {sorted(s)} not contained in 0..{self.dim - 1}")
 
     def all_supports(self) -> list[Support]:
-        idx = range(self.dim)
-        out = [frozenset(c) for size in range(self.dim + 1)
-               for c in itertools.combinations(idx, size)]
-        return out
+        """Every support, in ``support_key`` order (by size, then lexicographic)."""
+        return [frozenset(c) for size in range(self.dim + 1)
+                for c in itertools.combinations(range(self.dim), size)]
 
     def check_invariant_character(self, chi: Sequence[int]) -> tuple[int, ...]:
         chi = tuple(int(e) for e in chi)
@@ -222,18 +218,19 @@ def is_semistable(action: TorusAction, chi: Sequence[int], s: Support) -> bool:
     """No destabilizing one-parameter subgroup: no lambda in the limit cone
     with <lambda, chi> > 0."""
     chi = action.check_invariant_character(chi)
-    return not cone_has_point_with(limit_cone(action, s), chi, STRICT)
+    return not cone_has_point_with(limit_cone(action, s), chi)
 
 
 def is_stable(action: TorusAction, chi: Sequence[int], s: Support) -> bool:
     """Every nonzero lambda in the limit cone has <lambda, chi> < 0."""
     chi = action.check_invariant_character(chi)
-    return not cone_has_point_with(limit_cone(action, s), chi, NONNEG, exclude_zero=True)
+    return cone_nonzero_point(limit_cone(action, s).inequalities + (chi,), action.rank) is None
 
 
 def semistable_supports(action: TorusAction, chi: Sequence[int]) -> list[Support]:
-    return sorted((s for s in action.all_supports() if is_semistable(action, chi, s)),
-                  key=support_key)
+    """The semistable locus, in ``support_key`` order: the one scan behind
+    every semistable locus of the package."""
+    return [s for s in action.all_supports() if is_semistable(action, chi, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +305,7 @@ def normalized_hm_min(
     action.check_support(s)
     if _faces is None:
         _faces = {}
-    cols = {j: action.character(j) for j in sorted(s)}
-    cone_rows = [cols[j] for j in sorted(s)]
+    cone_rows = [action.character(j) for j in sorted(s)]
 
     def in_cone(v: Sequence[int]) -> bool:
         return all(dot(v, row) >= 0 for row in cone_rows)
@@ -329,11 +325,11 @@ def normalized_hm_min(
         if face is None:  # the face spans {0}
             continue
         v2, lam = face
-        if v2 == 0:
-            witness = cone_nonzero_point(cone_rows, action.rank,
-                                         eqs=[cols[j] for j in active])
-            if witness is not None:
-                consider(SignedSquare.zero(), witness)
+        if v2 == 0:  # lam is the span's basis B; <m, By> = <B^T m, y>
+            y = cone_nonzero_point([[dot(b, m) for b in lam] for m in cone_rows], len(lam))
+            if y is not None:
+                consider(SignedSquare.zero(),
+                         tuple(sum(b[i] * yj for b, yj in zip(lam, y)) for i in range(action.rank)))
             continue
         if in_cone(lam):
             consider(SignedSquare(-1, v2), lam)
@@ -348,13 +344,14 @@ def normalized_hm_min(
 
 def _face_direction(
     action: TorusAction, chi: tuple[int, ...], active: tuple[int, ...]
-) -> tuple[Fraction, tuple[int, ...] | None] | None:
+) -> tuple[Fraction, tuple] | None:
     """The critical direction of chi on the span {lambda : <lambda, chi_j> = 0, j in active}.
 
-    Returns None when that span is {0}, (0, None) when chi vanishes on it,
-    and otherwise (v2, lam): v2 > 0 the squared Q-dual norm of chi
-    restricted to the span and lam the primitive Riesz direction, so that
-    mu^chi/|.|_Q takes the values -sqrt(v2) at lam and +sqrt(v2) at -lam.
+    Returns None when that span is {0}, (0, B) with B the kernel basis of
+    the span when chi vanishes on it, and otherwise (v2, lam): v2 > 0 the
+    squared Q-dual norm of chi restricted to the span and lam the
+    primitive Riesz direction, so that mu^chi/|.|_Q takes the values
+    -sqrt(v2) at lam and +sqrt(v2) at -lam.
     """
     mat = IntMatrix.from_rows([list(action.character(j)) for j in active], action.rank)
     basis = kernel_basis(mat)
@@ -362,7 +359,7 @@ def _face_direction(
         return None
     c = [dot(b, chi) for b in basis]
     if all(e == 0 for e in c):
-        return (Fraction(0), None)
+        return (Fraction(0), tuple(basis))
     qb = [action.norm_form.mul_vec(b) for b in basis]
     y = solve_rational([[dot(bi, qbj) for qbj in qb] for bi in basis], c)
     v2 = sum(ci * yi for ci, yi in zip(c, y))
@@ -389,7 +386,7 @@ def in_orbit_changing_locus(action: TorusAction, s: Support) -> bool:
     """
     cone = limit_cone(action, s)
     total = [sum(action.character(j)[i] for j in s) for i in range(action.rank)]
-    return cone_has_point_with(cone, total, STRICT)
+    return cone_has_point_with(cone, total)
 
 
 def minimal_hm_values(action: TorusAction, chi: Sequence[int]) -> frozenset[SignedSquare]:
@@ -488,11 +485,8 @@ def two_step_semistable(
     """
     if not is_semistable(action, chi_l, s):
         return False
-    cone = limit_cone(action, s)
-    rows = [(n, False) for n in cone.inequalities]
-    rows += [(tuple(chi_l), False), (tuple(-x for x in chi_l), False)]
-    rows += [(tuple(chi_m), True)]
-    return not feasible_system(rows, action.rank)
+    rows = limit_cone(action, s).inequalities + (tuple(chi_l), tuple(-x for x in chi_l))
+    return not cone_has_point_with(RationalCone(action.rank, rows), chi_m)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import torusgit
 from torusgit.cli import run
+from torusgit.errors import InternalError, TorusGitError
 
 
 def invoke(argv, capsys):
@@ -161,6 +164,17 @@ def test_exit_codes(capsys):
     rc, doc = invoke(["desing", "--action", '{"rank": 1, "weights": [[1], [2]]}',
                       "--char", "[1]"], capsys)
     assert rc == 1 and doc["kind"] == "input"
+
+
+@pytest.mark.parametrize("error", [InternalError, TorusGitError])
+def test_internal_errors_exit_3(capsys, monkeypatch, error):
+    def broken(args):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(torusgit.cli, "_cmd_semistable", broken)
+    rc = run(["semistable", "--action", HYPERBOLA, "--char", "[1]", "--support", "[1]"])
+    assert rc == 3
+    assert capsys.readouterr().out == '{\n  "error": "invariant broken",\n  "kind": "internal"\n}\n'
 
 
 def test_byte_identical_output(capsys):

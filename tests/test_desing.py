@@ -11,7 +11,7 @@ from torusgit.desing import (
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import IntMatrix
 from torusgit.rees import EBPresentation, MonomialWeightedCenter
-from torusgit.torus import TorusAction, effectivize, is_semistable, stabilizer
+from torusgit.torus import TorusAction, effectivize, is_semistable, stabilizer, support_key
 
 
 def action(rows):
@@ -204,3 +204,33 @@ def test_tower_embeds_original_stable_supports(rng):
 def test_step_guard():
     with pytest.raises(ComputationDeclined):
         desingularize(HYPERBOLA, (0,), max_steps=0)
+
+
+def test_live_lists_are_the_sorted_predicate_scans(rng, monkeypatch):
+    """Every live list of the tower, the final one included, equals the
+    sorted is_semistable scan of its ambient."""
+    import torusgit.desing
+    from torusgit.torus import is_stable, semistable_supports
+
+    scans = []
+
+    def recorded(action, chi):
+        live = semistable_supports(action, chi)
+        scans.append((action, chi, live))
+        return live
+
+    monkeypatch.setattr(torusgit.desing, "semistable_supports", recorded)
+    done = 0
+    while done < 10:
+        a = effectivize(random_action(rng, max_rank=2, max_dim=4, entry_bound=2)).action
+        chi0 = tuple(0 for _ in range(a.rank))
+        if a.rank == 0 or not is_stable(a, chi0, frozenset(range(a.dim))):
+            continue
+        scans.clear()
+        tower = desingularize(a, chi0)
+        assert len(scans) == len(tower.steps) + 1
+        assert tuple(scans[-1][2]) == tower.final_dm_supports
+        for action, chi, live in scans:
+            assert live == sorted((s for s in action.all_supports()
+                                   if is_semistable(action, chi, s)), key=support_key)
+        done += 1

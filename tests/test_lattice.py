@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from torusgit.errors import InputError
 from torusgit.lattice import (
-    NONNEG,
-    STRICT,
     IntMatrix,
     RationalCone,
     cone_has_point_with,
@@ -289,31 +287,31 @@ def test_det_and_inverse_match_sympy(rows):
 
 def test_cone_examples_dim1():
     ray = RationalCone(1, ((1,),))
-    assert cone_has_point_with(ray, (1,), STRICT)
+    assert cone_has_point_with(ray, (1,))
     zero = RationalCone(1, ((1,), (-1,)))
-    assert not cone_has_point_with(zero, (1,), STRICT)
+    assert not cone_has_point_with(zero, (1,))
 
 
 def test_cone_example_halfplane():
     half = RationalCone(2, ((1, -1),))
-    assert not cone_has_point_with(half, (-1, 1), STRICT)
-    assert cone_has_point_with(half, (1, -1), STRICT)
+    assert not cone_has_point_with(half, (-1, 1))
+    assert cone_has_point_with(half, (1, -1))
 
 
 def test_cone_objective_dimension_mismatch():
     with pytest.raises(InputError):
-        cone_has_point_with(RationalCone(2, ()), (1,), STRICT)
+        cone_has_point_with(RationalCone(2, ()), (1,))
 
 
-def _brute_force_witness(cone, objective, strictness, exclude_zero, bound=6):
+def _brute_force_witness(cone, objective, strict, bound=6):
+    """A small nonzero lambda in the cone with <lambda, objective> > 0
+    (strict) or >= 0 (not strict)."""
     dim = cone.ambient_dim
     for lam in itertools.product(range(-bound, bound + 1), repeat=dim):
-        if exclude_zero and all(e == 0 for e in lam):
-            continue
-        if any(dot(lam, n) < 0 for n in cone.inequalities):
+        if not any(lam) or any(dot(lam, n) < 0 for n in cone.inequalities):
             continue
         val = dot(lam, objective)
-        if (strictness == STRICT and val > 0) or (strictness == NONNEG and val >= 0):
+        if val > 0 or (not strict and val == 0):
             return lam
     return None
 
@@ -330,13 +328,22 @@ def cones_and_objectives(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cones_and_objectives(), st.sampled_from([STRICT, NONNEG]), st.booleans())
-def test_cone_feasibility_agrees_with_brute_force(cone_obj, strictness, exclude_zero):
+@given(cones_and_objectives(), st.booleans())
+def test_cone_feasibility_agrees_with_brute_force(cone_obj, strict):
+    """The strict question goes through cone_has_point_with; a nonzero
+    point with <lambda, objective> >= 0 through cone_nonzero_point on the
+    cone cut by the objective."""
     cone, obj = cone_obj
-    decided = cone_has_point_with(cone, obj, strictness, exclude_zero=exclude_zero)
-    witness = _brute_force_witness(cone, obj, strictness, exclude_zero)
+    if strict:
+        decided = cone_has_point_with(cone, obj)
+    else:
+        point = cone_nonzero_point(cone.inequalities + (obj,), cone.ambient_dim)
+        decided = point is not None
+        if decided:
+            assert any(point) and all(dot(point, n) >= 0 for n in cone.inequalities + (obj,))
+    witness = _brute_force_witness(cone, obj, strict)
     if witness is not None:
-        assert decided, (cone, obj, strictness, exclude_zero, witness)
+        assert decided, (cone, obj, strict, witness)
     if not decided:
         assert witness is None
     # scale invariance makes the brute force complete for pure cones at

@@ -232,6 +232,13 @@ def test_binary_forms_examples():
             binary_forms_hm((), n, "stable_dm")
 
 
+@pytest.mark.parametrize("check", [check_binary_forms, binary_forms_hm])
+def test_binary_forms_reject_non_positive_multiplicities(check):
+    for mults in ((3, -1), (2, 0, 0)):
+        with pytest.raises(InputError, match="^multiplicities must be positive$"):
+            check(mults, 1, "semistable")
+
+
 def _partitions(total):
     if total == 0:
         yield ()

@@ -11,7 +11,7 @@ from torusgit.rees import (
     saturated_locus,
     weighted_blowup_locus,
 )
-from torusgit.torus import FinitePartElement, TorusAction
+from torusgit.torus import FinitePartElement, TorusAction, is_semistable, support_key
 
 
 def action(rows, n=None, **kw):
@@ -192,3 +192,26 @@ def test_section_is_complement_of_divisor():
     images = {eb.section_support(s) for s in originals}
     # the section hits every support containing T exactly once
     assert images == {s for s in eb.ambient.all_supports() if t in s}
+
+
+def test_loci_are_the_sorted_support_scans(rng):
+    """The loci keep support_key order without sorting: saturated_locus is
+    the sorted is_semistable scan of the ambient, and the other lists are
+    the sorted filters of all_supports."""
+    from conftest import random_action
+
+    for _ in range(15):
+        base = random_action(rng, max_rank=2, max_dim=4, entry_bound=2)
+        coords = tuple(sorted(rng.sample(range(base.dim), rng.randint(1, base.dim))))
+        eb = extended_weighted_blowup(base, MonomialWeightedCenter(coords, (1,) * len(coords)))
+        amb = eb.ambient
+        supports = amb.all_supports()
+        assert saturated_locus(eb) == sorted(
+            (s for s in supports if is_semistable(amb, eb.theta, s)), key=support_key)
+        assert weighted_blowup_locus(eb) == sorted(
+            (s for s in supports if s & set(coords)), key=support_key)
+        div = exceptional_divisor(eb)
+        assert list(div.on_divisor) == sorted(
+            (s for s in supports if eb.exceptional_index not in s), key=support_key)
+        assert list(div.blowup_intersection) == sorted(
+            (s for s in div.on_divisor if s & set(coords)), key=support_key)

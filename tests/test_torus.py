@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import random_action, random_character
 from torusgit.errors import InputError
-from torusgit.lattice import IntMatrix, dot, rank
+from torusgit.lattice import IntMatrix, cone_nonzero_point, dot, kernel_basis, primitive, rank
 from torusgit.rees import MonomialWeightedCenter, extended_weighted_blowup
 from torusgit.torus import (
     FinitePartElement,
+    HmMinimum,
     SignedSquare,
     TorusAction,
     combine_linearizations,
@@ -25,8 +26,10 @@ from torusgit.torus import (
     normalized_hm_min,
     semistable_supports,
     stabilizer,
+    support_key,
     two_step_semistable,
 )
+from torusgit.torus import _face_direction
 
 
 def action(rows, **kw):
@@ -244,11 +247,11 @@ def action_and_support(draw):
 def test_orbit_changing_locus_matches_one_system_per_character(inputs):
     """The one-system test equals the union of one strict system per
     character of the support, the empty support included."""
-    from torusgit.lattice import STRICT, cone_has_point_with
+    from torusgit.lattice import cone_has_point_with
 
     a, s = inputs
     cone = limit_cone(a, s)
-    expected = any(cone_has_point_with(cone, a.character(j), STRICT) for j in sorted(s))
+    expected = any(cone_has_point_with(cone, a.character(j)) for j in sorted(s))
     assert in_orbit_changing_locus(a, s) == expected
 
 
@@ -360,12 +363,12 @@ def _norm_form(draw, r):
 
 
 @st.composite
-def hm_inputs(draw):
+def hm_inputs(draw, kinds=("identity", "norm", "finite")):
     """(action, chi_l, chi_m) at rank 2 or 3: identity norm form, a random
     positive-definite Q = A^T A + I, or a finite part cycling the character
     coordinates (with a circulant Q it preserves and invariant characters)."""
     r = draw(st.integers(2, 3))
-    kind = draw(st.sampled_from(["identity", "norm", "finite"]))
+    kind = draw(st.sampled_from(kinds))
     entry = st.integers(-3, 3)
     if kind != "finite":
         n = draw(st.integers(1, 6))
@@ -419,6 +422,72 @@ def test_shared_face_table_matches_uncached_minima(inputs):
     assert minimal_hm_values(a, chi) == expected
 
 
+def _hm_min_eqs_oracle(a, chi, s):
+    """normalized_hm_min with each zero face searched through its own
+    kernel: kernel_basis of the active characters, the cone rows projected
+    onto it, cone_nonzero_point there, and the point mapped back."""
+    rows = [a.character(j) for j in sorted(s)]
+    best = None
+    for size in range(len(s) + 1):
+        for active in itertools.combinations(sorted(s), size):
+            face = _face_direction(a, chi, active)
+            if face is None:
+                continue
+            v2, lam = face
+            if v2 == 0:
+                mat = IntMatrix.from_rows([list(a.character(j)) for j in active], a.rank)
+                bmat = IntMatrix.from_rows(kernel_basis(mat)).transpose()  # rank x k
+                pt = cone_nonzero_point([bmat.transpose().mul_vec(m) for m in rows], bmat.cols)
+                found = [] if pt is None else [(SignedSquare.zero(), bmat.mul_vec(pt))]
+            else:
+                found = [(SignedSquare(-1, v2), lam), (SignedSquare(1, v2), tuple(-e for e in lam))]
+            for value, w in found:
+                w = primitive(w)
+                if any(dot(w, m) < 0 for m in rows):
+                    continue
+                if best is None or value < best[0] or (value == best[0] and w < best[1]):
+                    best = (value, w)
+    return None if best is None else HmMinimum(*best)
+
+
+@st.composite
+def zero_face_inputs(draw):
+    """(action, chi) at rank 1-3 with many faces on which chi vanishes:
+    chi = 0 or a sum of weight columns, under Q = I or Q = A^T A + I, or
+    hm_inputs' finite part with an invariant chi."""
+    kind = draw(st.sampled_from(["identity", "norm", "finite"]))
+    if kind == "finite":
+        a, chi, _ = draw(hm_inputs(kinds=("finite",)))
+        return a, (0,) * a.rank if draw(st.booleans()) else chi
+    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    w = IntMatrix.from_rows([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)], n)
+    a = TorusAction(r, w, _norm_form(draw, r) if kind == "norm" else None)
+    cols = draw(st.sets(st.integers(0, n - 1)))
+    return a, tuple(sum(a.character(j)[i] for j in cols) for i in range(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_face_inputs())
+def test_zero_faces_match_the_own_kernel_search(inputs):
+    a, chi = inputs
+    for s in a.all_supports():
+        assert normalized_hm_min(a, chi, s) == _hm_min_eqs_oracle(a, chi, s), sorted(s)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_all_supports_come_in_support_key_order(n):
+    supports = TorusAction(1, IntMatrix.from_rows([[1] * n], n)).all_supports()
+    assert supports == sorted(supports, key=support_key) and len(set(supports)) == 2 ** n
+
+
+def test_semistable_supports_is_the_sorted_predicate_scan(rng):
+    for _ in range(25):
+        a = random_action(rng, max_rank=3, max_dim=5)
+        chi = random_character(rng, a.rank)
+        expected = sorted((s for s in a.all_supports() if is_semistable(a, chi, s)), key=support_key)
+        assert semistable_supports(a, chi) == expected
+
+
 def test_two_step_property_small_sweep(rng):
     for _ in range(30):
         a = random_action(rng, max_rank=3, max_dim=4)
@@ -429,6 +498,13 @@ def test_two_step_property_small_sweep(rng):
             combined = tuple(m * x + y for x, y in zip(chi_l, chi_m))
             for s in a.all_supports():
                 assert is_semistable(a, combined, s) == two_step_semistable(a, chi_l, chi_m, s)
+
+
+def test_two_step_rejects_a_chi_m_of_the_wrong_length():
+    a = action([[1, 0, -1], [0, 1, -1]])
+    for chi_m in ((1,), (1, 2, 3)):
+        with pytest.raises(InputError, match="objective length"):
+            two_step_semistable(a, (0, 0), chi_m, frozenset({0}))
 
 
 def test_support_monotonicity_and_stable_implies_semistable(rng):
