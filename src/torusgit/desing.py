@@ -40,6 +40,8 @@ from .torus import (
     stabilizer,
 )
 
+VERIFY_DEGREE_BOUND = 6  # total degree of the monomials ``verify_tower`` checks
+
 
 @record
 class DesingStep:
@@ -154,8 +156,8 @@ class TowerReport:
     checks: tuple[TowerCheck, ...]
 
 
-def _pushforward_check(eb: EBPresentation, theta: Sequence[int], degree_bound: int) -> str:
-    """Certify pi_* theta^n = I_n on monomials of total degree <= bound.
+def _pushforward_check(eb: EBPresentation, theta: Sequence[int]) -> str:
+    """Certify pi_* theta^n = I_n on monomials of total degree <= VERIFY_DEGREE_BOUND.
 
     A theta^n-semi-invariant monomial of the ambient, relative to the
     original quotient, is one whose Rees degree matches; its T = 1 image
@@ -166,7 +168,7 @@ def _pushforward_check(eb: EBPresentation, theta: Sequence[int], degree_bound: i
     t_last = theta[-1]
     center = eb.center
     n_max = max(center.weights) + 1
-    for mono in monomials_up_to_degree(eb.original.dim, degree_bound):
+    for mono in monomials_up_to_degree(eb.original.dim, VERIFY_DEGREE_BOUND):
         wdeg = center.weighted_degree(mono)
         for n in range(n_max + 1):
             # Rees degree of the lift X^alpha x^beta T^c is wdeg - c, and a
@@ -179,13 +181,13 @@ def _pushforward_check(eb: EBPresentation, theta: Sequence[int], degree_bound: i
     return ""
 
 
-def _invariant_ring_check(eb: EBPresentation, degree_bound: int) -> str:
+def _invariant_ring_check(eb: EBPresentation) -> str:
     """Degree-0 invariant monomials agree before and after the blow-up."""
     orig = eb.original
     amb = eb.ambient
     zero_orig = tuple(0 for _ in range(orig.rank))
     zero_amb = tuple(0 for _ in range(amb.rank))
-    for mono in monomials_up_to_degree(orig.dim, degree_bound):
+    for mono in monomials_up_to_degree(orig.dim, VERIFY_DEGREE_BOUND):
         lift = tuple(mono) + (eb.center.weighted_degree(mono),)
         orig_inv = orig.weights.mul_vec(mono) == zero_orig
         amb_inv = amb.weights.mul_vec(lift) == zero_amb
@@ -194,7 +196,7 @@ def _invariant_ring_check(eb: EBPresentation, degree_bound: int) -> str:
     return ""
 
 
-def verify_tower(tower: DesingTower, degree_bound: int = 6) -> TowerReport:
+def verify_tower(tower: DesingTower) -> TowerReport:
     checks: list[TowerCheck] = []
     previous = tower.base
     for i, step in enumerate(tower.steps):
@@ -205,9 +207,9 @@ def verify_tower(tower: DesingTower, degree_bound: int = 6) -> TowerReport:
         previous = eb.ambient
         checks.append(TowerCheck(i, "section_projection_roundtrip", not failures,
                                  "; ".join(failures)))
-        detail = _pushforward_check(eb, eb.theta, degree_bound)
+        detail = _pushforward_check(eb, eb.theta)
         if not detail:
-            detail = _invariant_ring_check(eb, degree_bound)
+            detail = _invariant_ring_check(eb)
         checks.append(TowerCheck(i, "good_moduli_space", not detail, detail))
         amb_ok = (eb.ambient.rank == eb.original.rank + 1
                   and eb.ambient.dim == eb.original.dim + 1)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .errors import InputError, InternalError
+from .errors import ComputationDeclined, InputError, InternalError
 
 
 def _as_int_tuple(entries: Iterable[int]) -> tuple[int, ...]:
@@ -122,9 +122,7 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators and return the primitive integer vector."""
-    lcm = 1
-    for e in v:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    lcm = math.lcm(*(e.denominator for e in v))
     return primitive(tuple(int(e * lcm) for e in v))
 
 
@@ -354,12 +352,15 @@ class RationalCone:
 
 _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
 
+FM_ROW_CAP = 1_000_000  # rows one Fourier-Motzkin step may produce before it declines
+
 
 def feasible_system(rows: list[_Row], dim: int) -> bool:
     """Is there a rational point with <coeffs, x> >= 0 (resp. > 0) for all rows?
 
     Homogeneous Fourier-Motzkin elimination; exact over the rationals and
-    valid for mixed strict/non-strict systems.
+    valid for mixed strict/non-strict systems.  A step that would produce
+    more than ``FM_ROW_CAP`` rows is declined instead of run.
     """
     work: dict[tuple[int, ...], bool] = {}
     for coeffs, strict in rows:
@@ -383,6 +384,10 @@ def feasible_system(rows: list[_Row], dim: int) -> bool:
         pos = [(c, s) for c, s in work.items() if c[var] > 0]
         neg = [(c, s) for c, s in work.items() if c[var] < 0]
         zero = [(c, s) for c, s in work.items() if c[var] == 0]
+        produced = len(zero) + len(pos) * len(neg)
+        if produced > FM_ROW_CAP:
+            raise ComputationDeclined(
+                f"Fourier-Motzkin step would produce {produced} rows, over the cap of {FM_ROW_CAP}")
         work = {}
         for c, s in zero:
             work[c] = work.get(c, False) or s

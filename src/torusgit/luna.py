@@ -40,6 +40,8 @@ from .torus import (
     stabilizer,
 )
 
+INVARIANT_DEGREE_BOUND = 6  # total degree of the Hilbert basis ``cubics_example`` certifies
+
 
 def slice_at_fixed_point(
     action: TorusAction,
@@ -162,7 +164,7 @@ class CubicsCertificate:
     tower_verified: bool
 
 
-def cubics_example(invariant_degree_bound: int = 6) -> CubicsCertificate:
+def cubics_example() -> CubicsCertificate:
     """Run the full plane-cubics pipeline and certify the expected output:
     invariant ring generated by x1 x2 x3, boundary stabilizer of dimension
     0 with invariant factors (3, 3) and permutation part of order 6, and a
@@ -173,7 +175,7 @@ def cubics_example(invariant_degree_bound: int = 6) -> CubicsCertificate:
     eb = extended_weighted_blowup(eff.action, center)
     boundary = frozenset({0, 1, 2})
     stab = stabilizer(eb.ambient, boundary)
-    invariants = tuple(hilbert_basis_bounded(slice3.weights, invariant_degree_bound))
+    invariants = tuple(hilbert_basis_bounded(slice3.weights, INVARIANT_DEGREE_BOUND))
     tower = desingularize(eff.action, tuple(0 for _ in range(eff.action.rank)))
     report = verify_tower(tower)
     return CubicsCertificate(slice3, eff, eb, boundary, stab, invariants,

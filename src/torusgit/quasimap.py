@@ -102,14 +102,8 @@ class TwistedCurveGraph:
         return len(seen) == n
 
     def _local_index_lcm(self, v: int) -> int:
-        lcm = 1
-        for a, b, d in self.edges:
-            if v in (a, b):
-                lcm = lcm * d // math.gcd(lcm, d)
-        for a, e in self.legs:
-            if a == v:
-                lcm = lcm * e // math.gcd(lcm, e)
-        return lcm
+        return math.lcm(*(d for a, b, d in self.edges if v in (a, b)),
+                        *(e for a, e in self.legs if a == v))
 
     def edge_ends(self, v: int) -> int:
         return sum((a == v) + (b == v) for a, b, _ in self.edges)

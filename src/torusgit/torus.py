@@ -185,14 +185,7 @@ class DiagonalizableGroup:
 
     @property
     def torus_component_order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-    @property
-    def is_finite(self) -> bool:
-        return self.dimension == 0
+        return math.prod(self.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +251,6 @@ class SignedSquare:
     def neg(self) -> "SignedSquare":
         return SignedSquare(-self.sign, self.square)
 
-    def scaled(self, k: int) -> "SignedSquare":
-        """The value k * self for a positive integer k."""
-        if k <= 0:
-            raise InputError("scaling factor must be positive")
-        return SignedSquare(self.sign, self.square * k * k)
-
     def __lt__(self, other: "SignedSquare") -> bool:
         if self.sign != other.sign:
             return self.sign < other.sign
@@ -293,6 +280,12 @@ def normalized_hm_min(
     and its negative, and the minimum over the cone is attained at a
     feasible critical direction of the minimal face containing it.
 
+    Active sets are walked as sorted tuples, each extended only by larger
+    coordinates of s, and never past one whose span is {0}.  Spans only
+    shrink as the active set grows, so every active set with a nonzero
+    span has only nonzero-span prefixes and is still reached; the least
+    (value, witness) pair does not depend on the visiting order.
+
     The critical direction of a face depends only on (action, chi) and
     the active set, not on s, so callers evaluating many supports pass
     one ``_faces`` dict to share it (see ``_face_direction``).  That dict
@@ -318,12 +311,16 @@ def normalized_hm_min(
         if best is None or value < best[0] or (value == best[0] and witness < best[1]):
             best = (value, witness)
 
-    for active in _subsets(sorted(s)):
+    order = sorted(s)
+    walk: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (active set, first extension)
+    while walk:
+        active, start = walk.pop()
         if active not in _faces:
             _faces[active] = _face_direction(action, chi, active)
         face = _faces[active]
-        if face is None:  # the face spans {0}
+        if face is None:  # the face spans {0}, and so does every superset
             continue
+        walk.extend((active + (j,), k + 1) for k, j in enumerate(order[start:], start))
         v2, lam = face
         if v2 == 0:  # lam is the span's basis B; <m, By> = <B^T m, y>
             y = cone_nonzero_point([[dot(b, m) for b in lam] for m in cone_rows], len(lam))
@@ -368,11 +365,6 @@ def _face_direction(
     lam = scale_to_integers(tuple(sum(b[i] * yj for b, yj in zip(basis, y))
                                   for i in range(action.rank)))
     return (v2, lam)
-
-
-def _subsets(items: Sequence[int]):
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
 
 
 def in_orbit_changing_locus(action: TorusAction, s: Support) -> bool:

@@ -149,7 +149,7 @@ def test_criterion_07_desingularization_towers():
     for name, base, chi in (("A^2/(1,-1)", hyperbola, (0,)),
                             ("cubics slice", slice_eff, (0, 0))):
         tower = desingularize(base, chi)
-        report_obj = verify_tower(tower, degree_bound=6)
+        report_obj = verify_tower(tower)
         finite = all(stabilizer(tower.final_action, s).dimension == 0
                      for s in tower.final_dm_supports)
         good = len(tower.steps) == 1 and finite and report_obj.ok

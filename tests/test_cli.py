@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,36 @@ def test_internal_errors_exit_3(capsys, monkeypatch, error):
     rc = run(["semistable", "--action", HYPERBOLA, "--char", "[1]", "--support", "[1]"])
     assert rc == 3
     assert capsys.readouterr().out == '{\n  "error": "invariant broken",\n  "kind": "internal"\n}\n'
+
+
+GENERAL_POSITION_12 = json.dumps({"rank": 3, "weights": [
+    [6, -5, 3], [1, -7, 8], [2, 2, 9], [1, 7, -3], [1, -7, 4], [7, -7, -2],
+    [2, 8, 4], [1, 9, -6], [4, 9, -8], [7, -8, -2], [1, 8, -5], [5, 4, -5]]})
+
+
+def test_hm_min_on_twelve_general_coordinates_is_pinned(capsys):
+    rc = run(["hm-min", "--action", GENERAL_POSITION_12, "--char", "[1,-2,3]",
+              "--support", json.dumps(list(range(1, 13)))])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        '{\n  "minimizer": [\n    153,\n    79,\n    144\n  ],\n'
+        '  "no_destabilizer": false,\n  "value": {\n    "sign": -1,\n'
+        '    "square": "427/118"\n  }\n}\n')
+
+
+def test_fourier_motzkin_blow_up_on_a_zero_cone_is_declined(capsys):
+    # rank 7; the limit cone of the full support is {0}, and one elimination
+    # step would produce 3,318,700 rows (22 s to answer `true` without the cap)
+    action = json.dumps({"rank": 7, "weights": [
+        [3, 0, -1, 3, 2, 2, -1], [-1, 2, -2, 1, 3, -3, 0], [1, 3, -1, -1, 2, -1, 0],
+        [-1, 3, 1, 2, 2, 3, -1], [-1, -1, 2, -1, 2, 3, 0], [-1, 3, -2, 3, 3, 2, 0],
+        [-1, -1, 1, -2, 1, -2, -2], [3, -1, 3, 0, -1, 2, -3], [-2, -8, -1, -5, -14, -6, 7]]})
+    start = time.perf_counter()
+    rc, doc = invoke(["semistable", "--action", action, "--char", "[1,-1,2,2,2,1,0]",
+                      "--support", "[1,2,3,4,5,6,7,8,9]"], capsys)
+    assert time.perf_counter() - start < 3
+    assert rc == 2 and doc["kind"] == "declined"
+    assert "3318700 rows" in doc["error"]
 
 
 def test_byte_identical_output(capsys):

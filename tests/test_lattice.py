@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgit.errors import InputError
+from torusgit import lattice
+from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import (
     IntMatrix,
     RationalCone,
@@ -427,3 +428,13 @@ def test_hilbert_basis_outputs_are_solutions_and_incomparable(rng):
 def test_monomials_up_to_degree_counts():
     assert len(monomials_up_to_degree(2, 3)) == 10  # C(2+3, 2)
     assert monomials_up_to_degree(0, 5) == [()]
+
+
+def test_feasible_system_declines_a_step_over_the_row_cap(monkeypatch):
+    # eliminating either variable pairs 3 positive with 3 negative rows: 9 rows
+    rows = [((1, k), False) for k in (1, 2, 3)] + [((-1, -k), False) for k in (1, 2, 3)]
+    monkeypatch.setattr(lattice, "FM_ROW_CAP", 9)
+    assert feasible_system(rows, 2)
+    monkeypatch.setattr(lattice, "FM_ROW_CAP", 8)
+    with pytest.raises(ComputationDeclined, match="9 rows"):
+        feasible_system(rows, 2)

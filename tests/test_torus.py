@@ -29,6 +29,7 @@ from torusgit.torus import (
     support_key,
     two_step_semistable,
 )
+from torusgit import torus
 from torusgit.torus import _face_direction
 
 
@@ -472,6 +473,93 @@ def test_zero_faces_match_the_own_kernel_search(inputs):
     a, chi = inputs
     for s in a.all_supports():
         assert normalized_hm_min(a, chi, s) == _hm_min_eqs_oracle(a, chi, s), sorted(s)
+
+
+def _hm_min_every_face_oracle(a, chi, s, faces):
+    """normalized_hm_min over all 2^|s| active sets, spans of {0} included,
+    with a face table shared the same way."""
+    rows = [a.character(j) for j in sorted(s)]
+    best = None
+    for size in range(len(s) + 1):
+        for active in itertools.combinations(sorted(s), size):
+            if active not in faces:
+                faces[active] = _face_direction(a, chi, active)
+            if faces[active] is None:
+                continue
+            v2, lam = faces[active]
+            if v2 == 0:
+                y = cone_nonzero_point([[dot(b, m) for b in lam] for m in rows], len(lam))
+                found = [] if y is None else [
+                    (SignedSquare.zero(),
+                     tuple(sum(b[i] * yj for b, yj in zip(lam, y)) for i in range(a.rank)))]
+            else:
+                found = [(SignedSquare(-1, v2), lam), (SignedSquare(1, v2), tuple(-e for e in lam))]
+            for value, w in found:
+                if any(dot(w, m) < 0 for m in rows):
+                    continue
+                w = primitive(w)
+                if best is None or value < best[0] or (value == best[0] and w < best[1]):
+                    best = (value, w)
+    return None if best is None else HmMinimum(*best)
+
+
+@st.composite
+def face_walk_inputs(draw):
+    """(action, chi) at rank 1-3 and N <= 7: Q = I or Q = A^T A + I,
+    optionally a zero weight row, with chi random, 0 or a weight column;
+    or hm_inputs' finite part with an invariant chi or chi = 0."""
+    kind = draw(st.sampled_from(["identity", "norm", "zero_row", "finite"]))
+    if kind == "finite":
+        a, chi, _ = draw(hm_inputs(kinds=("finite",)))
+        return a, (0,) * a.rank if draw(st.booleans()) else chi
+    r, n = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)]
+    if kind == "zero_row":
+        rows[draw(st.integers(0, r - 1))] = [0] * n
+    q = _norm_form(draw, r) if kind == "norm" else None
+    a = TorusAction(r, IntMatrix.from_rows(rows, n), q)
+    chi_kind = draw(st.sampled_from(["random", "zero", "column"] if n else ["random", "zero"]))
+    if chi_kind == "column":
+        return a, a.character(draw(st.integers(0, n - 1)))
+    if chi_kind == "zero":
+        return a, (0,) * r
+    return a, tuple(draw(st.integers(-3, 3)) for _ in range(r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_walk_inputs())
+def test_face_walk_matches_the_every_face_loop(inputs):
+    a, chi = inputs
+    walk_faces: dict = {}
+    oracle_faces: dict = {}
+    for s in a.all_supports():  # in support_key order
+        assert (normalized_hm_min(a, chi, s, _faces=walk_faces)
+                == _hm_min_every_face_oracle(a, chi, s, oracle_faces)), sorted(s)
+
+
+# rank 3, 16 columns, every three of them linearly independent
+GENERAL_POSITION_16 = [
+    [6, -5, 3], [1, -7, 8], [2, 2, 9], [1, 7, -3], [1, -7, 4], [7, -7, -2], [2, 8, 4],
+    [1, 9, -6], [4, 9, -8], [7, -8, -2], [1, 8, -5], [5, 4, -5], [9, -6, 9], [5, 8, -4],
+    [2, 9, 9], [4, 2, -6],
+]
+
+
+def test_face_walk_stops_at_zero_spans(monkeypatch):
+    cols = GENERAL_POSITION_16
+    assert all(rank(IntMatrix.from_rows(list(t))) == 3 for t in itertools.combinations(cols, 3))
+    a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _face_direction(*args)
+
+    monkeypatch.setattr(torus, "_face_direction", counted)
+    res = normalized_hm_min(a, (1, -2, 3), frozenset(range(16)))
+    # the empty set, 16 planes, 120 lines, and the 560 triples whose span is {0}
+    assert len(calls) <= 1 + 16 + 120 + 560
+    assert res == HmMinimum(SignedSquare(-1, Fraction(2916, 811)), (21, 9, 17))
 
 
 @pytest.mark.parametrize("n", range(9))
