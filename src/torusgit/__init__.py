@@ -11,7 +11,6 @@ curves.  All arithmetic is exact.
 from .errors import ComputationDeclined, InputError, InternalError, TorusGitError
 from .lattice import (
     IntMatrix,
-    RationalCone,
     SmithDecomposition,
     cone_has_point_with,
     hilbert_basis_bounded,

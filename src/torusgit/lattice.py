@@ -6,8 +6,8 @@ loci) reduces to a handful of primitives implemented here:
 * Smith normal form over the integers, with the unimodular transforms,
   and the integer kernel / rank computations derived from it;
 * one fraction-free (Bareiss) Gauss-Jordan elimination, behind the
-  determinant, the unimodular inverse, exact rational solves and
-  Sylvester's positive-definiteness test;
+  determinant, the unimodular inverse, exact rational solves,
+  Sylvester's positive-definiteness test and reduced echelon bases;
 * the one strict cone question -- is there a lambda in a rational
   polyhedral cone with <lambda, objective> > 0? -- decided by
   Fourier-Motzkin elimination of a mixed strict/non-strict system;
@@ -258,31 +258,44 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 def _bareiss(a: list[list[int]], n: int) -> tuple[int, list[int]]:
     """Fraction-free Gauss-Jordan elimination of the integer rows [A | B].
 
-    A is the leading n x n block of ``a``, whose rows are replaced in
-    place.  Returns (swaps, pivots) with pivots = [1, p_1, ..., p_k].  If
-    A is nonsingular, k = n and the left block ends as d*I and the right
-    block as d*A^{-1}B, where d = p_n and det A = (-1)^swaps * d.  If A is
-    singular, the last pivot is 0.  Each division by the previous pivot
-    is exact, since every intermediate entry is, up to sign, a minor of
-    [A | B] (Bareiss, Math. Comp. 22, 1968).  Rows are swapped only at a zero
-    pivot, so without a swap p_k is the k-th leading principal minor.
+    A is the block of the first n columns of ``a``, whose rows are
+    replaced in place; a column of A with no pivot left is skipped.
+    Returns (swaps, pivots) with pivots = [1, p_1, ..., p_k] and k the
+    rank of A.  The first k rows end as p_k times the first k rows of the
+    reduced row echelon form of [A | B], and the other rows of A as 0; so
+    if A is square and nonsingular, its block ends as d*I and B's as
+    d*A^{-1}B, where d = p_n and det A = (-1)^swaps * d.  Each division by
+    the previous pivot is exact, since every intermediate entry is, up to
+    sign, a minor of [A | B] (Bareiss, Math. Comp. 22, 1968).  Rows are
+    swapped only at a zero pivot, so without a swap or a skip p_k is the
+    k-th leading principal minor.
     """
     swaps, pivots = 0, [1]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+    for col in range(n):
+        k = len(pivots) - 1
+        piv = next((i for i in range(k, len(a)) if a[i][col] != 0), None)
         if piv is None:
-            pivots.append(0)
-            break
+            continue
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             swaps += 1
-        pk, prev, rk = a[k][k], pivots[-1], a[k]
-        for i in range(n):
+        pk, prev, rk = a[k][col], pivots[-1], a[k]
+        for i in range(len(a)):
             if i != k:
-                f = a[i][k]
+                f = a[i][col]
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
         pivots.append(pk)
     return swaps, pivots
+
+
+def echelon_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """The reduced row echelon basis of the rational span of ``rows``, each
+    row scaled to a primitive integer vector with a positive pivot.  It
+    depends only on the span, not on the rows that generate it."""
+    a = [list(row) for row in rows]
+    pivots = _bareiss(a, dim)[1]
+    sign = 1 if pivots[-1] > 0 else -1
+    return [primitive([sign * x for x in row]) for row in a[:len(pivots) - 1]]
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -291,9 +304,10 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     if n != m.cols:
         raise InputError("only square matrices can be inverted")
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    d = _bareiss(a, n)[1][-1]
-    if d == 0:
+    pivots = _bareiss(a, n)[1]
+    if len(pivots) <= n:
         raise InputError("matrix is singular")
+    d = pivots[-1]
     if abs(d) != 1:
         raise InputError("matrix is not unimodular")
     return IntMatrix.from_rows([[d * x for x in row[n:]] for row in a], n)
@@ -304,14 +318,14 @@ def det(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise InputError("determinant of a non-square matrix")
     swaps, pivots = _bareiss([list(row) for row in m.entries], m.rows)
-    return (-1) ** swaps * pivots[-1]
+    return (-1) ** swaps * pivots[-1] if len(pivots) > m.rows else 0
 
 
 def is_positive_definite(q: IntMatrix) -> bool:
     """Sylvester's criterion for a symmetric matrix, from one elimination:
     the pivots are the leading principal minors unless one of them is 0."""
     swaps, pivots = _bareiss([list(row) for row in q.entries], q.rows)
-    return swaps == 0 and all(p > 0 for p in pivots)
+    return swaps == 0 and len(pivots) > q.rows and all(p > 0 for p in pivots)
 
 
 def solve_rational(gram: Sequence[Sequence[int | Fraction]],
@@ -323,31 +337,16 @@ def solve_rational(gram: Sequence[Sequence[int | Fraction]],
     for eq in ([*row, b] for row, b in zip(gram, rhs)):
         scale = math.lcm(*(x.denominator for x in eq))
         a.append([int(x * scale) for x in eq])
-    d = _bareiss(a, n)[1][-1]
-    if d == 0:
+    pivots = _bareiss(a, n)[1]
+    if len(pivots) <= n:
         raise InputError("singular system")
+    d = pivots[-1]
     return [Fraction(row[n], d) for row in a]
 
 
 # ---------------------------------------------------------------------------
 # Rational polyhedral cones
 # ---------------------------------------------------------------------------
-
-
-@record
-class RationalCone:
-    """{lambda : <lambda, n_k> >= 0 for every normal n_k}.
-
-    Inequalities may be redundant; the cone always contains 0.
-    """
-
-    ambient_dim: int
-    inequalities: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        for n in self.inequalities:
-            if len(n) != self.ambient_dim:
-                raise InputError("inequality normal has wrong length")
 
 
 _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
@@ -403,17 +402,19 @@ def feasible_system(rows: list[_Row], dim: int) -> bool:
     return True
 
 
-def cone_has_point_with(cone: RationalCone, objective: Sequence[int]) -> bool:
-    """Is there a lambda in the cone with <lambda, objective> > 0?
+def cone_has_point_with(rows: Sequence[Sequence[int]], objective: Sequence[int]) -> bool:
+    """Is there a lambda with <lambda, n> >= 0 for every row n and
+    <lambda, objective> > 0?
 
     Only the strict question is asked; the strict row already excludes
     lambda = 0.  Decided exactly by Fourier-Motzkin elimination.  A
     nonzero point of a cone is ``cone_nonzero_point``'s question.
     """
-    if len(objective) != cone.ambient_dim:
+    dim = len(objective)
+    if any(len(n) != dim for n in rows):
         raise InputError("objective length does not match the cone dimension")
-    rows = [(n, False) for n in cone.inequalities] + [(_as_int_tuple(objective), True)]
-    return feasible_system(rows, cone.ambient_dim)
+    system = [(n, False) for n in rows] + [(_as_int_tuple(objective), True)]
+    return feasible_system(system, dim)
 
 
 def cone_nonzero_point(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:

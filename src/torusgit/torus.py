@@ -24,17 +24,17 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import record
 from .errors import InputError, InternalError
 from .lattice import (
     IntMatrix,
-    RationalCone,
     cone_has_point_with,
     cone_nonzero_point,
     det,
     dot,
+    echelon_basis,
     is_positive_definite,
     kernel_basis,
     primitive,
@@ -47,10 +47,6 @@ from .lattice import (
 Support = frozenset  # subset of coordinate indices, 0-based
 Character = tuple  # integer vector of length rank
 Cocharacter = tuple
-
-
-def support(indices: Iterable[int]) -> Support:
-    return frozenset(int(i) for i in indices)
 
 
 def support_key(s: Support) -> tuple[int, tuple[int, ...]]:
@@ -193,11 +189,11 @@ class DiagonalizableGroup:
 # ---------------------------------------------------------------------------
 
 
-def limit_cone(action: TorusAction, s: Support) -> RationalCone:
-    """Cocharacters lambda with a limit at a point of support s:
-    {lambda : <lambda, chi_j> >= 0 for all j in s}."""
+def limit_cone(action: TorusAction, s: Support) -> tuple[Character, ...]:
+    """The rows chi_j, j in s in order, of the cone of cocharacters lambda
+    with a limit at a point of support s: {lambda : <lambda, chi_j> >= 0}."""
     action.check_support(s)
-    return RationalCone(action.rank, tuple(action.character(j) for j in sorted(s)))
+    return tuple(action.character(j) for j in sorted(s))
 
 
 def hm_pairing(action: TorusAction, chi: Sequence[int], lam: Sequence[int]) -> int:
@@ -217,7 +213,7 @@ def is_semistable(action: TorusAction, chi: Sequence[int], s: Support) -> bool:
 def is_stable(action: TorusAction, chi: Sequence[int], s: Support) -> bool:
     """Every nonzero lambda in the limit cone has <lambda, chi> < 0."""
     chi = action.check_invariant_character(chi)
-    return cone_nonzero_point(limit_cone(action, s).inequalities + (chi,), action.rank) is None
+    return cone_nonzero_point(limit_cone(action, s) + (chi,), action.rank) is None
 
 
 def semistable_supports(action: TorusAction, chi: Sequence[int]) -> list[Support]:
@@ -280,11 +276,12 @@ def normalized_hm_min(
     and its negative, and the minimum over the cone is attained at a
     feasible critical direction of the minimal face containing it.
 
-    Active sets are walked as sorted tuples, each extended only by larger
-    coordinates of s, and never past one whose span is {0}.  Spans only
-    shrink as the active set grows, so every active set with a nonzero
-    span has only nonzero-span prefixes and is still reached; the least
-    (value, witness) pair does not depend on the visiting order.
+    A face's critical directions and zero-face witness depend only on the
+    span of its active set (``_face_direction`` works in the span's
+    echelon basis), and every nonzero span is cut out by a linearly
+    independent active set of fewer than r coordinates.  So only those
+    sets are visited: at most sum_{k<r} C(|s|, k) of them on every
+    support, whatever its weights.
 
     The critical direction of a face depends only on (action, chi) and
     the active set, not on s, so callers evaluating many supports pass
@@ -295,10 +292,9 @@ def normalized_hm_min(
     chi = tuple(int(e) for e in chi)
     if len(chi) != action.rank:
         raise InputError("character length does not match the rank")
-    action.check_support(s)
+    cone_rows = limit_cone(action, s)
     if _faces is None:
         _faces = {}
-    cone_rows = [action.character(j) for j in sorted(s)]
 
     def in_cone(v: Sequence[int]) -> bool:
         return all(dot(v, row) >= 0 for row in cone_rows)
@@ -311,28 +307,25 @@ def normalized_hm_min(
         if best is None or value < best[0] or (value == best[0] and witness < best[1]):
             best = (value, witness)
 
-    order = sorted(s)
-    walk: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (active set, first extension)
-    while walk:
-        active, start = walk.pop()
-        if active not in _faces:
-            _faces[active] = _face_direction(action, chi, active)
-        face = _faces[active]
-        if face is None:  # the face spans {0}, and so does every superset
-            continue
-        walk.extend((active + (j,), k + 1) for k, j in enumerate(order[start:], start))
-        v2, lam = face
-        if v2 == 0:  # lam is the span's basis B; <m, By> = <B^T m, y>
-            y = cone_nonzero_point([[dot(b, m) for b in lam] for m in cone_rows], len(lam))
-            if y is not None:
-                consider(SignedSquare.zero(),
-                         tuple(sum(b[i] * yj for b, yj in zip(lam, y)) for i in range(action.rank)))
-            continue
-        if in_cone(lam):
-            consider(SignedSquare(-1, v2), lam)
-        neg = tuple(-e for e in lam)
-        if in_cone(neg):
-            consider(SignedSquare(1, v2), neg)
+    for size in range(action.rank):
+        for active in itertools.combinations(sorted(s), size):
+            if active not in _faces:
+                _faces[active] = _face_direction(action, chi, active)
+            face = _faces[active]
+            if face is None:  # a dependent active set
+                continue
+            v2, lam = face
+            if v2 == 0:  # lam is the span's basis B; <m, By> = <B^T m, y>
+                y = cone_nonzero_point([[dot(b, m) for b in lam] for m in cone_rows], len(lam))
+                if y is not None:
+                    w = tuple(sum(b[i] * yj for b, yj in zip(lam, y)) for i in range(action.rank))
+                    consider(SignedSquare.zero(), w)
+                continue
+            if in_cone(lam):
+                consider(SignedSquare(-1, v2), lam)
+            neg = tuple(-e for e in lam)
+            if in_cone(neg):
+                consider(SignedSquare(1, v2), neg)
 
     if best is None:
         return None
@@ -344,16 +337,19 @@ def _face_direction(
 ) -> tuple[Fraction, tuple] | None:
     """The critical direction of chi on the span {lambda : <lambda, chi_j> = 0, j in active}.
 
-    Returns None when that span is {0}, (0, B) with B the kernel basis of
-    the span when chi vanishes on it, and otherwise (v2, lam): v2 > 0 the
-    squared Q-dual norm of chi restricted to the span and lam the
-    primitive Riesz direction, so that mu^chi/|.|_Q takes the values
-    -sqrt(v2) at lam and +sqrt(v2) at -lam.
+    Returns None when the active characters are linearly dependent or the
+    span is {0}, (0, B) with B a basis of the span when chi vanishes on
+    it, and otherwise (v2, lam): v2 > 0 the squared Q-dual norm of chi
+    restricted to the span and lam the primitive Riesz direction, so that
+    mu^chi/|.|_Q takes the values -sqrt(v2) at lam and +sqrt(v2) at -lam.
+    B is the integer kernel of the echelon basis of the active
+    characters, so it depends only on the span, and so does the zero-face
+    witness that ``normalized_hm_min`` finds in it.
     """
-    mat = IntMatrix.from_rows([list(action.character(j)) for j in active], action.rank)
-    basis = kernel_basis(mat)
-    if not basis:
+    rows = echelon_basis([action.character(j) for j in active], action.rank)
+    if len(rows) != len(active) or len(rows) == action.rank:
         return None
+    basis = kernel_basis(IntMatrix.from_rows(rows, action.rank))
     c = [dot(b, chi) for b in basis]
     if all(e == 0 for e in c):
         return (Fraction(0), tuple(basis))
@@ -477,8 +473,8 @@ def two_step_semistable(
     """
     if not is_semistable(action, chi_l, s):
         return False
-    rows = limit_cone(action, s).inequalities + (tuple(chi_l), tuple(-x for x in chi_l))
-    return not cone_has_point_with(RationalCone(action.rank, rows), chi_m)
+    rows = limit_cone(action, s) + (tuple(chi_l), tuple(-x for x in chi_l))
+    return not cone_has_point_with(rows, chi_m)
 
 
 # ---------------------------------------------------------------------------

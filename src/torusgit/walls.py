@@ -155,7 +155,7 @@ def verify_ss_equals_s(
     """
     if action.dim > max_dim:
         raise ComputationDeclined(
-            f"2^{action.dim} supports exceed the guard (max_dim={max_dim})"
+            f"{action.dim} coordinates exceed the guard (max_dim={max_dim})"
         )
     target = tuple(-e for e in action.check_invariant_character(mu_pulled))
     cols = [action.character(j) for j in range(action.dim)]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import torusgit
+from conftest import DEGENERATE_20, GENERAL_POSITION_16
 from torusgit.cli import run
 from torusgit.errors import InternalError, TorusGitError
 
@@ -178,9 +179,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch, error):
     assert capsys.readouterr().out == '{\n  "error": "invariant broken",\n  "kind": "internal"\n}\n'
 
 
-GENERAL_POSITION_12 = json.dumps({"rank": 3, "weights": [
-    [6, -5, 3], [1, -7, 8], [2, 2, 9], [1, 7, -3], [1, -7, 4], [7, -7, -2],
-    [2, 8, 4], [1, 9, -6], [4, 9, -8], [7, -8, -2], [1, 8, -5], [5, 4, -5]]})
+GENERAL_POSITION_12 = json.dumps({"rank": 3, "weights": GENERAL_POSITION_16[:12]})
 
 
 def test_hm_min_on_twelve_general_coordinates_is_pinned(capsys):
@@ -191,6 +190,46 @@ def test_hm_min_on_twelve_general_coordinates_is_pinned(capsys):
         '{\n  "minimizer": [\n    153,\n    79,\n    144\n  ],\n'
         '  "no_destabilizer": false,\n  "value": {\n    "sign": -1,\n'
         '    "square": "427/118"\n  }\n}\n')
+
+
+@pytest.mark.parametrize("cols, chi, expected", [
+    (GENERAL_POSITION_16, "[1,-2,3]",
+     '{\n  "minimizer": [\n    21,\n    9,\n    17\n  ],\n  "no_destabilizer": false,\n'
+     '  "value": {\n    "sign": -1,\n    "square": "2916/811"\n  }\n}\n'),
+    # weights in a plane: no active set cuts the span to {0}
+    (DEGENERATE_20, "[1,-2,0]",
+     '{\n  "minimizer": [\n    0,\n    0,\n    1\n  ],\n  "no_destabilizer": false,\n'
+     '  "value": {\n    "sign": 0,\n    "square": 0\n  }\n}\n'),
+])
+def test_hm_min_on_every_support_visits_few_faces(capsys, cols, chi, expected):
+    start = time.perf_counter()
+    rc = run(["hm-min", "--action", json.dumps({"rank": 3, "weights": cols}), "--char", chi,
+              "--support", json.dumps(list(range(1, len(cols) + 1)))])
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("weights, support", [
+    ([[4, 4, 1], [0, 0, 1]], [1, 2]),
+    ([[1, 1, 0], [0, 0, 1]], [1, 2]),
+    ([[4, 4, 1], [0, 0, 1], [4, 4, 2]], [1, 2, 3]),
+])
+def test_hm_min_zero_witness_depends_only_on_the_span(capsys, weights, support):
+    """The limit cone is the line of (1, -1, 0) and chi = 0 vanishes on it.
+    Its witness comes from the echelon basis of the weights' span, so every
+    set of weights cutting out that line prints (-1, 1, 0)."""
+    rc, doc = invoke(["hm-min", "--action", json.dumps({"rank": 3, "weights": weights}),
+                      "--char", "[0,0,0]", "--support", json.dumps(support)], capsys)
+    assert rc == 0
+    assert doc == {"minimizer": [-1, 1, 0], "no_destabilizer": False,
+                   "value": {"sign": 0, "square": 0}}
+
+
+def test_chamber_check_declines_by_the_coordinate_count(capsys):
+    big = json.dumps({"rank": 1, "weights": [[1]] * 21})
+    rc, doc = invoke(["verify-chamber", "--action", big, "--char", "[1]"], capsys)
+    assert rc == 2
+    assert doc == {"error": "21 coordinates exceed the guard (max_dim=20)", "kind": "declined"}
 
 
 def test_fourier_motzkin_blow_up_on_a_zero_cone_is_declined(capsys):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_action, random_character
+from conftest import DEGENERATE_20, GENERAL_POSITION_16, random_action, random_character
 from torusgit.errors import InputError
-from torusgit.lattice import IntMatrix, cone_nonzero_point, dot, kernel_basis, primitive, rank
+from torusgit.lattice import (
+    IntMatrix, cone_nonzero_point, dot, echelon_basis, kernel_basis, primitive, rank,
+    scale_to_integers, solve_rational,
+)
 from torusgit.rees import MonomialWeightedCenter, extended_weighted_blowup
 from torusgit.torus import (
     FinitePartElement,
@@ -104,13 +107,11 @@ def test_cone_ambient_adds_the_scaling_factor():
 
 
 def test_limit_cone_opposite_weights_is_zero():
-    cone = limit_cone(HYPERBOLA, frozenset({0, 1}))
-    assert cone.inequalities == ((1,), (-1,))
+    assert limit_cone(HYPERBOLA, frozenset({0, 1})) == ((1,), (-1,))
 
 
 def test_limit_cone_single_coordinate():
-    cone = limit_cone(HYPERBOLA, frozenset({0}))
-    assert cone.inequalities == ((1,),)
+    assert limit_cone(HYPERBOLA, frozenset({0})) == ((1,),)
 
 
 def test_limit_cone_rank3_diagonal_line():
@@ -118,7 +119,7 @@ def test_limit_cone_rank3_diagonal_line():
     cone = limit_cone(a, frozenset({0, 1, 2}))
     # the three inequalities force the diagonal line
     for lam in itertools.product(range(-2, 3), repeat=3):
-        inside = all(dot(lam, n) >= 0 for n in cone.inequalities)
+        inside = all(dot(lam, n) >= 0 for n in cone)
         assert inside == (lam[0] == lam[1] == lam[2]), lam
 
 
@@ -157,7 +158,7 @@ def test_full_support_with_zero_cone_is_stable_for_every_character():
         cone = limit_cone(a, full)
         from torusgit.lattice import cone_nonzero_point
 
-        assert cone_nonzero_point(cone.inequalities, cone.ambient_dim) is None
+        assert cone_nonzero_point(cone, a.rank) is None
         for chi in chis:
             assert is_semistable(a, chi, full)
             assert is_stable(a, chi, full)
@@ -423,10 +424,16 @@ def test_shared_face_table_matches_uncached_minima(inputs):
     assert minimal_hm_values(a, chi) == expected
 
 
+def _span_basis(a, active):
+    """The integer kernel of the echelon basis of the active characters."""
+    rows = echelon_basis([a.character(j) for j in active], a.rank)
+    return kernel_basis(IntMatrix.from_rows(rows, a.rank))
+
+
 def _hm_min_eqs_oracle(a, chi, s):
     """normalized_hm_min with each zero face searched through its own
-    kernel: kernel_basis of the active characters, the cone rows projected
-    onto it, cone_nonzero_point there, and the point mapped back."""
+    kernel: the span's basis as ``_span_basis`` builds it, the cone rows
+    projected onto it, cone_nonzero_point there, and the point mapped back."""
     rows = [a.character(j) for j in sorted(s)]
     best = None
     for size in range(len(s) + 1):
@@ -436,8 +443,7 @@ def _hm_min_eqs_oracle(a, chi, s):
                 continue
             v2, lam = face
             if v2 == 0:
-                mat = IntMatrix.from_rows([list(a.character(j)) for j in active], a.rank)
-                bmat = IntMatrix.from_rows(kernel_basis(mat)).transpose()  # rank x k
+                bmat = IntMatrix.from_rows(_span_basis(a, active)).transpose()  # rank x k
                 pt = cone_nonzero_point([bmat.transpose().mul_vec(m) for m in rows], bmat.cols)
                 found = [] if pt is None else [(SignedSquare.zero(), bmat.mul_vec(pt))]
             else:
@@ -475,15 +481,31 @@ def test_zero_faces_match_the_own_kernel_search(inputs):
         assert normalized_hm_min(a, chi, s) == _hm_min_eqs_oracle(a, chi, s), sorted(s)
 
 
+def _span_face(a, chi, active):
+    """``_face_direction`` without its independence check: the critical
+    direction of chi on the span of any active set, dependent or not."""
+    basis = _span_basis(a, active)
+    if not basis:
+        return None
+    c = [dot(b, chi) for b in basis]
+    if not any(c):
+        return (Fraction(0), tuple(basis))
+    qb = [a.norm_form.mul_vec(b) for b in basis]
+    y = solve_rational([[dot(bi, qbj) for qbj in qb] for bi in basis], c)
+    v2 = sum(ci * yi for ci, yi in zip(c, y))
+    return (v2, scale_to_integers([sum(b[i] * yj for b, yj in zip(basis, y))
+                                   for i in range(a.rank)]))
+
+
 def _hm_min_every_face_oracle(a, chi, s, faces):
-    """normalized_hm_min over all 2^|s| active sets, spans of {0} included,
-    with a face table shared the same way."""
+    """normalized_hm_min over all 2^|s| active sets, dependent ones and
+    spans of {0} included, with a face table shared the same way."""
     rows = [a.character(j) for j in sorted(s)]
     best = None
     for size in range(len(s) + 1):
         for active in itertools.combinations(sorted(s), size):
             if active not in faces:
-                faces[active] = _face_direction(a, chi, active)
+                faces[active] = _span_face(a, chi, active)
             if faces[active] is None:
                 continue
             v2, lam = faces[active]
@@ -505,28 +527,45 @@ def _hm_min_every_face_oracle(a, chi, s, faces):
 
 @st.composite
 def face_walk_inputs(draw):
-    """(action, chi) at rank 1-3 and N <= 7: Q = I or Q = A^T A + I,
-    optionally a zero weight row, with chi random, 0 or a weight column;
-    or hm_inputs' finite part with an invariant chi or chi = 0."""
+    """(action, chi) at rank 1-4 and N <= 7 (N <= 6 at rank 4): Q = I or
+    Q = A^T A + I, optionally a zero weight row; each column random, zero,
+    or a repeat or the negative of an earlier one; chi random, 0, a weight
+    column or a sum of columns.  Or hm_inputs' finite part with an
+    invariant chi or chi = 0."""
     kind = draw(st.sampled_from(["identity", "norm", "zero_row", "finite"]))
     if kind == "finite":
         a, chi, _ = draw(hm_inputs(kinds=("finite",)))
         return a, (0,) * a.rank if draw(st.booleans()) else chi
-    r, n = draw(st.integers(1, 3)), draw(st.integers(0, 7))
-    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(r)]
+    r = draw(st.integers(1, 4))
+    cols: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 7 if r < 4 else 6))):
+        how = draw(st.sampled_from(["random", "zero", "repeat", "opposite"] if cols
+                                   else ["random", "zero"]))
+        if how == "random":
+            cols.append([draw(st.integers(-2, 2)) for _ in range(r)])
+        elif how == "zero":
+            cols.append([0] * r)
+        else:
+            c = cols[draw(st.integers(0, len(cols) - 1))]
+            cols.append(list(c) if how == "repeat" else [-e for e in c])
+    n = len(cols)
+    rows = [[c[i] for c in cols] for i in range(r)]
     if kind == "zero_row":
         rows[draw(st.integers(0, r - 1))] = [0] * n
     q = _norm_form(draw, r) if kind == "norm" else None
     a = TorusAction(r, IntMatrix.from_rows(rows, n), q)
-    chi_kind = draw(st.sampled_from(["random", "zero", "column"] if n else ["random", "zero"]))
+    chi_kind = draw(st.sampled_from(["random", "zero", "column", "sum"] if n else ["random", "zero"]))
     if chi_kind == "column":
         return a, a.character(draw(st.integers(0, n - 1)))
+    if chi_kind == "sum":
+        picked = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        return a, tuple(sum(a.character(j)[i] for j in picked) for i in range(r))
     if chi_kind == "zero":
         return a, (0,) * r
     return a, tuple(draw(st.integers(-3, 3)) for _ in range(r))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(face_walk_inputs())
 def test_face_walk_matches_the_every_face_loop(inputs):
     a, chi = inputs
@@ -537,17 +576,9 @@ def test_face_walk_matches_the_every_face_loop(inputs):
                 == _hm_min_every_face_oracle(a, chi, s, oracle_faces)), sorted(s)
 
 
-# rank 3, 16 columns, every three of them linearly independent
-GENERAL_POSITION_16 = [
-    [6, -5, 3], [1, -7, 8], [2, 2, 9], [1, 7, -3], [1, -7, 4], [7, -7, -2], [2, 8, 4],
-    [1, 9, -6], [4, 9, -8], [7, -8, -2], [1, 8, -5], [5, 4, -5], [9, -6, 9], [5, 8, -4],
-    [2, 9, 9], [4, 2, -6],
-]
-
-
-def test_face_walk_stops_at_zero_spans(monkeypatch):
-    cols = GENERAL_POSITION_16
-    assert all(rank(IntMatrix.from_rows(list(t))) == 3 for t in itertools.combinations(cols, 3))
+def _counted_hm_min(monkeypatch, cols, chi):
+    """normalized_hm_min on the full support of the rank-3 columns, and the
+    active sets it asked ``_face_direction`` for."""
     a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)]))
     calls = []
 
@@ -556,10 +587,25 @@ def test_face_walk_stops_at_zero_spans(monkeypatch):
         return _face_direction(*args)
 
     monkeypatch.setattr(torus, "_face_direction", counted)
-    res = normalized_hm_min(a, (1, -2, 3), frozenset(range(16)))
-    # the empty set, 16 planes, 120 lines, and the 560 triples whose span is {0}
-    assert len(calls) <= 1 + 16 + 120 + 560
+    return normalized_hm_min(a, chi, frozenset(range(len(cols)))), calls
+
+
+def test_face_loop_visits_the_sets_below_the_rank(monkeypatch):
+    cols = GENERAL_POSITION_16
+    assert all(rank(IntMatrix.from_rows(list(t))) == 3 for t in itertools.combinations(cols, 3))
+    res, calls = _counted_hm_min(monkeypatch, cols, (1, -2, 3))
+    # the empty set, 16 planes and 120 lines, each once
+    assert len(calls) == len(set(calls)) == 1 + 16 + 120
     assert res == HmMinimum(SignedSquare(-1, Fraction(2916, 811)), (21, 9, 17))
+
+
+def test_face_loop_on_weights_in_a_plane_visits_the_same_sets(monkeypatch):
+    """Weights spanning only a plane used to cost 2^|s| active sets."""
+    res, calls = _counted_hm_min(monkeypatch, DEGENERATE_20, (1, -2, 0))
+    assert len(calls) == len(set(calls)) == 1 + 20 + 190
+    # the weights surround 0 in their plane, so the limit cone is the line
+    # of e3, on which chi vanishes
+    assert res == HmMinimum(SignedSquare.zero(), (0, 0, 1))
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -198,7 +198,7 @@ def test_verify_vacuous_on_dimension_zero():
 
 def test_verify_guard():
     big = TorusAction(1, IntMatrix.from_rows([[1] * 21]))
-    with pytest.raises(ComputationDeclined, match=r"^2\^21 supports exceed the guard \(max_dim=20\)$"):
+    with pytest.raises(ComputationDeclined, match=r"^21 coordinates exceed the guard \(max_dim=20\)$"):
         verify_ss_equals_s(big, (1,))
 
 
