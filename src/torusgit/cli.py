@@ -3,9 +3,9 @@
 Every subcommand reads JSON (inline or from files), performs one exact
 computation and prints a canonical JSON document on standard output.
 Exit codes: 0 success, 1 input error, 2 computation declined by a guard
-(support-count limit, step limit, exhausted bounded search), 3 internal
-invariant violation.  Output is byte-identical for identical inputs; no
-subcommand uses randomness.
+(support-count limit, step limit, exhausted bounded search, work cap), 3
+internal invariant violation.  Output is byte-identical for identical
+inputs; no subcommand uses randomness.
 
 Arguments expecting JSON accept either a literal (anything starting with
 '[', '{' or a digit/quote) or a path to a file containing it.

@@ -4,10 +4,10 @@ Everything downstream (semistability tests, wall arrangements, blow-up
 loci) reduces to a handful of primitives implemented here:
 
 * Smith normal form over the integers, with the unimodular transforms,
-  and the integer kernel / rank computations derived from it;
-* one fraction-free (Bareiss) Gauss-Jordan elimination, behind the
-  determinant, the unimodular inverse, exact rational solves,
-  Sylvester's positive-definiteness test and reduced echelon bases;
+  and the saturated integer kernel derived from it;
+* one fraction-free (Bareiss) Gauss-Jordan elimination, behind the rank,
+  the determinant, the unimodular inverse, exact rational solves (and
+  ``span_split``), Sylvester's test and reduced echelon bases;
 * the one strict cone question -- is there a lambda in a rational
   polyhedral cone with <lambda, objective> > 0? -- decided by
   Fourier-Motzkin elimination of a mixed strict/non-strict system;
@@ -240,10 +240,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(diag, left, right)
 
 
-def rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
-
-
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel {x : M x = 0} (columns of V)."""
     snf = smith_normal_form(m)
@@ -286,6 +282,10 @@ def _bareiss(a: list[list[int]], n: int) -> tuple[int, list[int]]:
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
         pivots.append(pk)
     return swaps, pivots
+
+
+def rank(m: IntMatrix) -> int:
+    return len(_bareiss([list(row) for row in m.entries], m.cols)[1]) - 1
 
 
 def echelon_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
@@ -344,6 +344,23 @@ def solve_rational(gram: Sequence[Sequence[int | Fraction]],
     return [Fraction(row[n], d) for row in a]
 
 
+def span_split(rows: Sequence[Sequence[int]], v: Sequence[int],
+               q: IntMatrix) -> tuple[list[Fraction], list[Fraction]] | None:
+    """None if the rows R are linearly dependent, else (lam, y) with
+    [[Q, R^T], [R, 0]] [lam; y] = [v; 0], from one exact saddle-point solve.
+    lam is the Q-Riesz vector of v on the annihilator of R: it is 0 exactly
+    when v lies in the span of R, and then v = R^T y.  Q must be positive
+    definite; then the saddle matrix is singular exactly when R is
+    dependent, so the one elimination also decides dependence."""
+    n, k = len(v), len(rows)
+    saddle = [[*q.row(i), *(row[i] for row in rows)] for i in range(n)]
+    try:
+        x = solve_rational(saddle + [[*row, *[0] * k] for row in rows], [*v, *[0] * k])
+    except InputError:  # the one error it raises: a singular system
+        return None
+    return x[:n], x[n:]
+
+
 # ---------------------------------------------------------------------------
 # Rational polyhedral cones
 # ---------------------------------------------------------------------------
@@ -352,6 +369,7 @@ def solve_rational(gram: Sequence[Sequence[int | Fraction]],
 _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
 
 FM_ROW_CAP = 1_000_000  # rows one Fourier-Motzkin step may produce before it declines
+HM_FACE_CAP = 5_000  # faces one normalized Hilbert-Mumford minimum may visit before it declines
 
 
 def feasible_system(rows: list[_Row], dim: int) -> bool:

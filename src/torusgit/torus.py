@@ -27,8 +27,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .errors import InputError, InternalError
+from .errors import ComputationDeclined, InputError, InternalError
 from .lattice import (
+    HM_FACE_CAP,
     IntMatrix,
     cone_has_point_with,
     cone_nonzero_point,
@@ -40,7 +41,7 @@ from .lattice import (
     primitive,
     scale_to_integers,
     smith_normal_form,
-    solve_rational,
+    span_split,
     unimodular_inverse,
 )
 
@@ -277,11 +278,10 @@ def normalized_hm_min(
     feasible critical direction of the minimal face containing it.
 
     A face's critical directions and zero-face witness depend only on the
-    span of its active set (``_face_direction`` works in the span's
-    echelon basis), and every nonzero span is cut out by a linearly
-    independent active set of fewer than r coordinates.  So only those
-    sets are visited: at most sum_{k<r} C(|s|, k) of them on every
-    support, whatever its weights.
+    span of its active set, and every nonzero span is cut out by a linearly
+    independent active set of fewer than r coordinates.  So only those sets
+    are visited: at most sum_{k<r} C(|s|, k) on every support, whatever its
+    weights, and a support with more than ``HM_FACE_CAP`` is declined.
 
     The critical direction of a face depends only on (action, chi) and
     the active set, not on s, so callers evaluating many supports pass
@@ -293,6 +293,10 @@ def normalized_hm_min(
     if len(chi) != action.rank:
         raise InputError("character length does not match the rank")
     cone_rows = limit_cone(action, s)
+    n_faces = sum(math.comb(len(s), k) for k in range(action.rank))
+    if n_faces > HM_FACE_CAP:
+        raise ComputationDeclined(f"the Hilbert-Mumford minimum on {len(s)} coordinates would "
+                                  f"visit {n_faces} faces, over the cap of {HM_FACE_CAP}")
     if _faces is None:
         _faces = {}
 
@@ -342,25 +346,24 @@ def _face_direction(
     it, and otherwise (v2, lam): v2 > 0 the squared Q-dual norm of chi
     restricted to the span and lam the primitive Riesz direction, so that
     mu^chi/|.|_Q takes the values -sqrt(v2) at lam and +sqrt(v2) at -lam.
-    B is the integer kernel of the echelon basis of the active
-    characters, so it depends only on the span, and so does the zero-face
-    witness that ``normalized_hm_min`` finds in it.
+    lam and v2 = <chi, lam> come from one ``span_split``; B is the integer
+    kernel of the echelon basis of the active characters, so B and the
+    zero-face witness ``normalized_hm_min`` finds in it depend only on the span.
     """
-    rows = echelon_basis([action.character(j) for j in active], action.rank)
-    if len(rows) != len(active) or len(rows) == action.rank:
+    rows = [action.character(j) for j in active]
+    if len(rows) >= action.rank:
         return None
-    basis = kernel_basis(IntMatrix.from_rows(rows, action.rank))
-    c = [dot(b, chi) for b in basis]
-    if all(e == 0 for e in c):
+    split = span_split(rows, chi, action.norm_form)
+    if split is None:
+        return None
+    lam = split[0]
+    if not any(lam):
+        basis = kernel_basis(IntMatrix.from_rows(echelon_basis(rows, action.rank), action.rank))
         return (Fraction(0), tuple(basis))
-    qb = [action.norm_form.mul_vec(b) for b in basis]
-    y = solve_rational([[dot(bi, qbj) for qbj in qb] for bi in basis], c)
-    v2 = sum(ci * yi for ci, yi in zip(c, y))
+    v2 = dot(chi, lam)
     if v2 <= 0:
         raise InternalError("Riesz norm of a nonzero restricted character must be positive")
-    lam = scale_to_integers(tuple(sum(b[i] * yj for b, yj in zip(basis, y))
-                                  for i in range(action.rank)))
-    return (v2, lam)
+    return (v2, scale_to_integers(lam))
 
 
 def in_orbit_changing_locus(action: TorusAction, s: Support) -> bool:
@@ -511,9 +514,9 @@ def effectivize(action: TorusAction) -> Effectivization:
     w = action.weights
     snf = smith_normal_form(w)
     k = snf.rank
-    killed = kernel_basis(w.transpose())
     if k == action.rank:
         return Effectivization(action, tuple())
+    killed = kernel_basis(w.transpose())
     u_top = IntMatrix.from_rows([snf.left.row(i) for i in range(k)], action.rank)
     new_w = u_top.mul(w)
     u_inv = unimodular_inverse(snf.left)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ._record import record
 from .errors import ComputationDeclined, InputError
-from .lattice import IntMatrix, det, dot, kernel_basis, primitive, rank, solve_rational
+from .lattice import IntMatrix, dot, kernel_basis, primitive, rank, span_split
 from .torus import Support, TorusAction
 
 
@@ -149,26 +149,19 @@ def verify_ss_equals_s(
 
     Hence the first counterexample is the first independent B with
     |B| < r and -chi in cone(B).  Subsets B are scanned by size, then
-    lexicographically; each needs one determinant of its Gram matrix and
-    one exact solve, O(N^(r-1)) in all.  B = {} covers chi = 0, and
+    lexicographically; each needs one ``span_split`` of chi along B,
+    O(N^(r-1)) exact solves in all.  B = {} covers chi = 0, and
     rank-deficient weights need no special case.
     """
     if action.dim > max_dim:
         raise ComputationDeclined(
             f"{action.dim} coordinates exceed the guard (max_dim={max_dim})"
         )
-    target = tuple(-e for e in action.check_invariant_character(mu_pulled))
-    cols = [action.character(j) for j in range(action.dim)]
+    chi = action.check_invariant_character(mu_pulled)
+    eye = IntMatrix.identity(action.rank)  # the verdict does not depend on Q
     for size in range(action.rank):
         for b in itertools.combinations(range(action.dim), size):
-            vecs = [cols[j] for j in b]
-            gram = [[dot(u, v) for v in vecs] for u in vecs]
-            if det(IntMatrix.from_rows(gram, size)) == 0:
-                continue  # the columns of B are linearly dependent
-            c = solve_rational(gram, [dot(u, target) for u in vecs])
-            if all(x >= 0 for x in c) and all(
-                sum(x * v[i] for x, v in zip(c, vecs)) == target[i]
-                for i in range(action.rank)
-            ):
-                return False, frozenset(b)
+            split = span_split([action.character(j) for j in b], chi, eye)
+            if split is not None and not any(split[0]) and all(y <= 0 for y in split[1]):
+                return False, frozenset(b)  # chi = sum y_j chi_j with every y_j <= 0
     return True, None

@@ -209,6 +209,31 @@ def test_hm_min_on_every_support_visits_few_faces(capsys, cols, chi, expected):
     assert rc == 0 and capsys.readouterr().out == expected
 
 
+# rank 6, 20 random columns in [-3, 3]; the limit cone of the full support is {0}
+RANK_6_20 = [
+    [3, 1, 3, -3, 0, 3], [-1, -3, -3, -2, 2, 1], [0, 3, 2, -1, -1, 3], [-3, -1, 0, 3, -2, 2],
+    [3, 0, 1, 1, 2, -3], [-2, 1, 1, 2, 3, 2], [-1, 2, 3, 1, 2, -3], [3, 0, -1, -3, -1, 3],
+    [0, 3, -1, 0, 2, -3], [3, -2, 2, 2, 3, -1], [-3, -3, 1, -2, 3, 2], [-1, 0, 3, -2, 1, 1],
+    [2, 2, 3, 1, -3, 2], [-1, -2, 1, 0, -1, -1], [1, -3, -3, 1, 2, 1], [-2, -3, 1, 2, -1, -1],
+    [2, -2, 0, 0, -2, -2], [1, -2, 3, 3, 2, 1], [-3, -2, 3, -2, -3, 2], [-1, 1, 2, 1, 1, -1],
+]
+
+
+def test_hm_min_over_the_face_cap_is_declined(capsys):
+    """sum_{k<6} C(20, k) = 21,700 faces (about 11 s to answer "no
+    destabilizer" without the cap); the rank-3 supports above have 137 and
+    211 faces and still answer."""
+    start = time.perf_counter()
+    rc, doc = invoke(["hm-min", "--action", json.dumps({"rank": 6, "weights": RANK_6_20}),
+                      "--char", "[1,-1,2,0,1,-2]", "--support", json.dumps(list(range(1, 21)))],
+                     capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and doc == {
+        "error": "the Hilbert-Mumford minimum on 20 coordinates would visit 21700 faces, "
+                 "over the cap of 5000",
+        "kind": "declined"}
+
+
 @pytest.mark.parametrize("weights, support", [
     ([[4, 4, 1], [0, 0, 1]], [1, 2]),
     ([[1, 1, 0], [0, 0, 1]], [1, 2]),

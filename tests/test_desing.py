@@ -70,6 +70,20 @@ def test_desingularize_cubics_slice():
     assert g.torus_component_order * g.finite_part_order == 9 * 6
 
 
+def test_tower_stabilizer_dimensions_need_no_finite_group(monkeypatch):
+    """A stabilizer dimension is r - rank(W_s), so neither the tower nor its
+    check closes the finite part (S3 on the cubics slice) under composition."""
+    a = cubics_effective()
+    assert a.finite_part
+
+    def closure(self):
+        raise AssertionError("finite-part closure")
+
+    monkeypatch.setattr(TorusAction, "finite_group_elements", closure)
+    tower = desingularize(a, (0, 0))
+    assert len(tower.steps) == 1 and verify_tower(tower).ok
+
+
 def test_desingularize_already_dm_is_zero_steps():
     a = action([[1, 2]])
     tower = desingularize(a, (-1,))

@@ -21,8 +21,10 @@ from torusgit.lattice import (
     kernel_basis,
     monomials_up_to_degree,
     primitive,
+    rank,
     smith_normal_form,
     solve_rational,
+    span_split,
     unimodular_inverse,
 )
 
@@ -72,6 +74,8 @@ def test_snf_reconstruction(m):
     # the transforms are unimodular
     assert abs(det(snf.left)) == 1
     assert abs(det(snf.right)) == 1
+    # the Bareiss pivot count gives the same rank
+    assert rank(m) == snf.rank
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,6 +312,71 @@ def test_echelon_basis_is_the_primitive_rref_of_the_span(inputs):
     for more in (rows[::-1], rows + [[2 * e for e in r] for r in rows[:1]],
                  rows + [[a + b for a, b in zip(*rows[:2])]] if len(rows) > 1 else rows):
         assert echelon_basis(more, dim) == basis
+
+
+def _gram_det(rows):
+    """det(R R^T): nonzero exactly when the rows of R are linearly independent."""
+    return _oracle_det([[sum(a * b for a, b in zip(u, w)) for w in rows] for u in rows])
+
+
+@st.composite
+def span_split_inputs(draw):
+    """(rows, v, Q) at rank 1-4: up to 4 random rows, or a zero row, a
+    repeated row or a combination of two rows appended; v random, 0 or a
+    combination of the rows; Q = I or A^T A + I."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=4))
+    extra = draw(st.sampled_from(["none", "zero", "repeat", "combination"]))
+    if extra == "zero":
+        rows.append([0] * n)
+    elif extra == "repeat" and rows:
+        rows.append(list(draw(st.sampled_from(rows))))
+    elif extra == "combination" and len(rows) >= 2:
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    kind = draw(st.sampled_from(["random", "zero", "span"]))
+    if kind == "random":
+        v = draw(vec)
+    else:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        v = [0 if kind == "zero" else sum(c * row[i] for c, row in zip(coeffs, rows))
+             for i in range(n)]
+    if draw(st.booleans()):
+        q = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        a = draw(st.lists(vec, min_size=n, max_size=n))
+        q = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
+             for i in range(n)]
+    return rows, v, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_split_inputs())
+def test_span_split_is_the_saddle_point_solution(inputs):
+    rows, v, q = inputs
+    n = len(v)
+    split = span_split(rows, v, IntMatrix.from_rows(q, n))
+    if _gram_det(rows) == 0:  # dependent, repeated or zero rows
+        assert split is None
+        return
+    lam, y = split
+    assert all(isinstance(x, Fraction) for x in lam + y) and len(y) == len(rows)
+    assert [sum(q[i][j] * lam[j] for j in range(n)) + sum(yj * row[i] for yj, row in zip(y, rows))
+            for i in range(n)] == v
+    assert [sum(a * b for a, b in zip(row, lam)) for row in rows] == [0] * len(rows)
+    in_span = _gram_det(rows + [v]) == 0
+    assert (not any(lam)) == in_span
+
+
+def test_span_split_examples():
+    q = IntMatrix.identity(2)
+    assert span_split([], [3, -1], q) == ([3, -1], [])
+    assert span_split([[1, 1]], [2, 0], q) == ([1, -1], [1])
+    assert span_split([[1, 1]], [2, 2], q) == ([0, 0], [2])
+    assert span_split([[1, 0], [0, 1]], [2, 3], q) == ([0, 0], [2, 3])
+    for dependent in ([[0, 0]], [[1, 2], [1, 2]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]]):
+        assert span_split(dependent, [1, 1], q) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEGENERATE_20, GENERAL_POSITION_16, random_action, random_character
-from torusgit.errors import InputError
+from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import (
     IntMatrix, cone_nonzero_point, dot, echelon_basis, kernel_basis, primitive, rank,
     scale_to_integers, solve_rational,
@@ -606,6 +606,18 @@ def test_face_loop_on_weights_in_a_plane_visits_the_same_sets(monkeypatch):
     # the weights surround 0 in their plane, so the limit cone is the line
     # of e3, on which chi vanishes
     assert res == HmMinimum(SignedSquare.zero(), (0, 0, 1))
+
+
+def test_face_cap_counts_the_sets_below_the_rank(monkeypatch):
+    """The cap is checked before the loop against 1 + 20 + 190 = 211 faces."""
+    a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in DEGENERATE_20] for i in range(3)]))
+    s = frozenset(range(20))
+    monkeypatch.setattr(torus, "HM_FACE_CAP", 211)
+    assert normalized_hm_min(a, (1, -2, 0), s) == HmMinimum(SignedSquare.zero(), (0, 0, 1))
+    monkeypatch.setattr(torus, "HM_FACE_CAP", 210)
+    monkeypatch.setattr(torus, "_face_direction", None)  # not reached
+    with pytest.raises(ComputationDeclined, match="would visit 211 faces, over the cap of 210"):
+        normalized_hm_min(a, (1, -2, 0), s)
 
 
 @pytest.mark.parametrize("n", range(9))

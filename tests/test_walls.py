@@ -158,18 +158,20 @@ def test_verify_matches_the_exhaustive_oracle(inputs):
 
 
 def test_verify_scans_no_supports(monkeypatch):
-    """At rank 3 with 18 coordinates the check finishes with Fourier-Motzkin
-    and the cone-point search disabled, so it runs neither per support."""
+    """At rank 3 with 18 coordinates the check finishes with Fourier-Motzkin,
+    the cone-point search and the Smith normal form disabled, so it runs
+    no support scan and asks no lattice-basis question."""
     import torusgit.lattice
 
     def disabled(*args, **kwargs):
-        raise AssertionError("support scan")
+        raise AssertionError("support scan or Smith normal form")
 
     monkeypatch.setattr(torusgit.lattice, "feasible_system", disabled)
     monkeypatch.setattr(torusgit.lattice, "cone_nonzero_point", disabled)
     cols = [(i % 3 - 1, (i // 3) % 3 - 1, 1 + i // 9) for i in range(18)]
     a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)], 18))
     mu = find_generic_character(compute_walls(a, IntMatrix.identity(3)), 8)
+    monkeypatch.setattr(torusgit.lattice, "smith_normal_form", disabled)  # walls need it
     assert verify_ss_equals_s(a, mu) == (True, None)
     assert verify_ss_equals_s(a, (0, 0, -3)) == (False, frozenset({4}))  # -chi = 3 cols[4]
     assert verify_ss_equals_s(a, (1, 0, -1)) == (False, frozenset({3}))  # -chi = cols[3]
