@@ -18,24 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import desing as desing_mod
-from . import jsonio
-from . import luna as luna_mod
-from . import quasimap as qm
-from . import rees as rees_mod
-from . import walls as walls_mod
-from .errors import InputError, TorusGitError
-from .lattice import IntMatrix, hilbert_basis_bounded
-from .torus import (
-    SignedSquare,
-    TorusAction,
-    combine_linearizations,
-    is_semistable,
-    is_stable,
-    minimal_hm_values,
-    normalized_hm_min,
-    stabilizer,
-)
+from . import desing, jsonio, lattice, luna, quasimap, rees, torus, walls
+from .errors import DEFAULT_MAX_SUPPORTS, InputError, TorusGitError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,20 +39,20 @@ def _read_json(value: str) -> Any:
     raise InputError(f"no such file: {value}")
 
 
-def _action(args) -> TorusAction:
+def _action(args) -> torus.TorusAction:
     return jsonio.parse_action(_read_json(args.action))
 
 
-def _signed_square(v: SignedSquare | None) -> Any:
+def _signed_square(v: torus.SignedSquare | None) -> Any:
     if v is None:
         return None
     return {"sign": v.sign, "square": jsonio.dump_rational(v.square)}
 
 
-def _psi(args, action: TorusAction) -> IntMatrix:
+def _psi(args, action: torus.TorusAction) -> lattice.IntMatrix:
     if getattr(args, "psi", None):
         return jsonio.parse_matrix(_read_json(args.psi), "psi")
-    return IntMatrix.identity(action.rank)
+    return lattice.IntMatrix.identity(action.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +64,21 @@ def _cmd_semistable(args) -> dict:
     a = _action(args)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     s = jsonio.parse_support(_read_json(args.support), a.dim)
-    return {"semistable": is_semistable(a, chi, s)}
+    return {"semistable": torus.is_semistable(a, chi, s)}
 
 
 def _cmd_stable(args) -> dict:
     a = _action(args)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     s = jsonio.parse_support(_read_json(args.support), a.dim)
-    return {"stable": is_stable(a, chi, s)}
+    return {"stable": torus.is_stable(a, chi, s)}
 
 
 def _cmd_hm_min(args) -> dict:
     a = _action(args)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     s = jsonio.parse_support(_read_json(args.support), a.dim)
-    res = normalized_hm_min(a, chi, s)
+    res = torus.normalized_hm_min(a, chi, s)
     if res is None:
         return {"no_destabilizer": True, "value": None, "minimizer": None}
     return {
@@ -106,18 +90,18 @@ def _cmd_hm_min(args) -> dict:
 
 def _cmd_minimal_values(args) -> dict:
     a = _action(args)
-    rees_mod.guard_supports(a.dim, args.max_supports)
+    rees.guard_supports(a.dim, args.max_supports)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
-    values = sorted(minimal_hm_values(a, chi))
+    values = sorted(torus.minimal_hm_values(a, chi))
     return {"values": [_signed_square(v) for v in values]}
 
 
 def _cmd_combine(args) -> dict:
     a = _action(args)
-    rees_mod.guard_supports(a.dim, args.max_supports)
+    rees.guard_supports(a.dim, args.max_supports)
     chi_l = jsonio.parse_vector(_read_json(args.char_l), a.rank, "chi_L")
     chi_m = jsonio.parse_vector(_read_json(args.char_m), a.rank, "chi_M")
-    res = combine_linearizations(a, chi_l, chi_m)
+    res = torus.combine_linearizations(a, chi_l, chi_m)
     return {
         "m0": res.m0,
         "combined": list(res.combined),
@@ -128,26 +112,26 @@ def _cmd_combine(args) -> dict:
 
 def _cmd_walls(args) -> dict:
     a = _action(args)
-    arr = walls_mod.compute_walls(a, _psi(args, a))
+    arr = walls.compute_walls(a, _psi(args, a))
     return {"ambient_rank": arr.ambient_rank, "walls": [list(w) for w in arr.walls]}
 
 
 def _cmd_generic_character(args) -> dict:
     a = _action(args)
-    arr = walls_mod.compute_walls(a, _psi(args, a))
-    mu = walls_mod.find_generic_character(arr, args.bound)
+    arr = walls.compute_walls(a, _psi(args, a))
+    mu = walls.find_generic_character(arr, args.bound)
     return {
         "ambient_rank": arr.ambient_rank,
         "walls": [list(w) for w in arr.walls],
         "generic": list(mu),
-        "pulled_back": list(walls_mod.pull_back(arr, mu)),
+        "pulled_back": list(walls.pull_back(arr, mu)),
     }
 
 
 def _cmd_verify_chamber(args) -> dict:
     a = _action(args)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
-    ok, counterexample = walls_mod.verify_ss_equals_s(a, chi, max_dim=args.max_dim)
+    ok, counterexample = walls.verify_ss_equals_s(a, chi, max_dim=args.max_dim)
     return {
         "ss_equals_s": ok,
         "counterexample": None if counterexample is None else jsonio.dump_support(counterexample),
@@ -157,22 +141,22 @@ def _cmd_verify_chamber(args) -> dict:
 def _cmd_eb(args) -> dict:
     a = _action(args)
     center = jsonio.parse_center(_read_json(args.center), a.dim)
-    eb = rees_mod.extended_weighted_blowup(a, center)
+    eb = rees.extended_weighted_blowup(a, center)
     return {
         "presentation": jsonio.dump_presentation(eb),
         "weighted_blowup_locus": jsonio.dump_supports(
-            rees_mod.weighted_blowup_locus(eb, args.max_supports)),
+            rees.weighted_blowup_locus(eb, args.max_supports)),
         "saturated_locus": jsonio.dump_supports(
-            rees_mod.saturated_locus(eb, args.max_supports)),
+            rees.saturated_locus(eb, args.max_supports)),
     }
 
 
 def _cmd_saturate(args) -> dict:
     a = _action(args)
     center = jsonio.parse_center(_read_json(args.center), a.dim)
-    eb = rees_mod.extended_weighted_blowup(a, center)
+    eb = rees.extended_weighted_blowup(a, center)
     return {"saturated_locus": jsonio.dump_supports(
-        rees_mod.saturated_locus(eb, args.max_supports))}
+        rees.saturated_locus(eb, args.max_supports))}
 
 
 def _cmd_desing(args) -> dict:
@@ -181,8 +165,8 @@ def _cmd_desing(args) -> dict:
         chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     else:
         chi = tuple(0 for _ in range(a.rank))
-    tower = desing_mod.desingularize(a, chi, max_steps=args.max_steps,
-                                     max_supports=args.max_supports)
+    tower = desing.desingularize(a, chi, max_steps=args.max_steps,
+                                 max_supports=args.max_supports)
     out = {
         "base": jsonio.dump_action(tower.base),
         "start_character": list(tower.start_character),
@@ -199,7 +183,7 @@ def _cmd_desing(args) -> dict:
         "final_dm_supports": jsonio.dump_supports(tower.final_dm_supports),
     }
     if args.verify:
-        report = desing_mod.verify_tower(tower)
+        report = desing.verify_tower(tower)
         out["verification"] = {
             "ok": report.ok,
             "checks": [
@@ -213,7 +197,7 @@ def _cmd_desing(args) -> dict:
 def _cmd_stabilizer(args) -> dict:
     a = _action(args)
     s = jsonio.parse_support(_read_json(args.support), a.dim)
-    g = stabilizer(a, s)
+    g = torus.stabilizer(a, s)
     return {
         "dimension": g.dimension,
         "invariant_factors": list(g.invariant_factors),
@@ -223,41 +207,42 @@ def _cmd_stabilizer(args) -> dict:
 
 def _cmd_invariants(args) -> dict:
     a = _action(args)
-    gens = hilbert_basis_bounded(a.weights, args.degree_bound)
+    gens = lattice.hilbert_basis_bounded(a.weights, args.degree_bound)
     return {"degree_bound": args.degree_bound,
             "generators": [list(g) for g in sorted(gens)]}
 
 
 def _cmd_quasimap(args) -> dict:
     graph = jsonio.parse_graph(_read_json(args.graph))
-    stable, violations = qm.is_stable_quasimap(graph)
+    stable, violations = quasimap.is_stable_quasimap(graph)
     out: dict[str, Any] = {
         "stable": stable,
         "violations": violations,
-        "class_beta": {k: jsonio.dump_rational(v) for k, v in sorted(qm.class_beta(graph).items())},
+        "class_beta": {k: jsonio.dump_rational(v)
+                       for k, v in sorted(quasimap.class_beta(graph).items())},
     }
     if args.epsilon:
-        out["epsilon_ample"] = qm.epsilon_ample_equivalent(graph)
+        out["epsilon_ample"] = quasimap.epsilon_ample_equivalent(graph)
     return out
 
 
 def _cmd_binary_forms(args) -> dict:
     mults = jsonio.parse_int_list(_read_json(args.mults), "multiplicities")
     return {
-        "semistable": qm.check_binary_forms(mults, args.n, qm.SEMISTABLE),
-        "dm": qm.check_binary_forms(mults, args.n, qm.STABLE_DM),
+        "semistable": quasimap.check_binary_forms(mults, args.n, quasimap.SEMISTABLE),
+        "dm": quasimap.check_binary_forms(mults, args.n, quasimap.STABLE_DM),
     }
 
 
 def _cmd_conic(args) -> dict:
     cfg = jsonio.parse_divisor_config(_read_json(args.config))
-    valid, in_dm = qm.check_twisted_conic(cfg)
+    valid, in_dm = quasimap.check_twisted_conic(cfg)
     return {"valid_in_cy": valid, "in_dm": in_dm}
 
 
 def _cmd_dvr_lift(args) -> dict:
     orders = jsonio.parse_int_list(_read_json(args.orders), "orders")
-    lift = qm.dvr_lift(qm.DvrMapData(tuple(orders)))
+    lift = quasimap.dvr_lift(quasimap.DvrMapData(tuple(orders)))
     return {
         "m": lift.m,
         "lifted_orders": list(lift.lifted_orders),
@@ -268,7 +253,7 @@ def _cmd_dvr_lift(args) -> dict:
 
 def _cmd_pencil(args) -> dict:
     graph = jsonio.parse_graph(_read_json(args.graph))
-    report = qm.check_pencil_degrees(graph)
+    report = quasimap.check_pencil_degrees(graph)
     return {
         "ok": report.ok,
         "vertices": [{"vertex": v, "ok": ok} for v, ok in report.vertex_results],
@@ -276,7 +261,7 @@ def _cmd_pencil(args) -> dict:
 
 
 def _cmd_luna_cubics(args) -> dict:
-    cert = luna_mod.cubics_example()
+    cert = luna.cubics_example()
     return {
         "slice": jsonio.dump_action(cert.slice_rank3),
         "effective_slice": jsonio.dump_action(cert.effectivization.action),
@@ -303,7 +288,7 @@ def _cmd_luna_cubics(args) -> dict:
 def build_parser() -> _Parser:
     parser = _Parser(prog="torusgit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--max-supports", type=int, default=rees_mod.DEFAULT_MAX_SUPPORTS,
+    parser.add_argument("--max-supports", type=int, default=DEFAULT_MAX_SUPPORTS,
                         help="refuse enumerations over more supports than this")
     parser.add_argument("--max-steps", type=int, default=32,
                         help="step guard for the desingularization tower")

@@ -1,5 +1,9 @@
 """Exception hierarchy shared by every module; each class carries the
-``kind`` the CLI prints in its error document and the ``exit_code`` it returns."""
+``kind`` the CLI prints in its error document and the ``exit_code`` it returns.
+Also the default of the support-count guard, which raises ComputationDeclined."""
+
+# kept out of the engine modules, so that building the CLI parser loads none of them
+DEFAULT_MAX_SUPPORTS = 1 << 20
 
 
 class TorusGitError(Exception):

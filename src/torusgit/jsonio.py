@@ -23,11 +23,8 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
+from . import lattice, quasimap, rees, torus
 from .errors import InputError
-from .lattice import IntMatrix
-from .quasimap import DivisorConfig, TwistedCurveGraph, Vertex
-from .rees import EBPresentation, MonomialWeightedCenter
-from .torus import FinitePartElement, Support, TorusAction, support_key
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -56,16 +53,16 @@ def parse_int_list(value: Any, what: str) -> list[int]:
     return list(value)
 
 
-def parse_matrix(value: Any, what: str) -> IntMatrix:
+def parse_matrix(value: Any, what: str) -> lattice.IntMatrix:
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list of rows")
     rows = [parse_int_list(r, f"{what} row") for r in value]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError(f"{what} rows have inconsistent lengths")
-    return IntMatrix.from_rows(rows, len(rows[0]) if rows else 0)
+    return lattice.IntMatrix.from_rows(rows, len(rows[0]) if rows else 0)
 
 
-def parse_action(doc: Mapping[str, Any]) -> TorusAction:
+def parse_action(doc: Mapping[str, Any]) -> torus.TorusAction:
     if not isinstance(doc, Mapping):
         raise InputError("torus action must be a JSON object")
     try:
@@ -80,7 +77,7 @@ def parse_action(doc: Mapping[str, Any]) -> TorusAction:
     cols = [parse_int_list(c, "weight column") for c in weights]
     if any(len(c) != rank for c in cols):
         raise InputError("every weight column must have `rank` entries")
-    w = IntMatrix.from_rows([[c[i] for c in cols] for i in range(rank)], len(cols))
+    w = lattice.IntMatrix.from_rows([[c[i] for c in cols] for i in range(rank)], len(cols))
     norm = None
     if "norm_form" in doc and doc["norm_form"] is not None:
         norm = parse_matrix(doc["norm_form"], "norm_form")
@@ -95,16 +92,16 @@ def parse_action(doc: Mapping[str, Any]) -> TorusAction:
         if sorted(perm1) != list(range(1, len(cols) + 1)):
             raise InputError("finite part perm must be a permutation of 1..N")
         aut = parse_matrix(el.get("aut"), "finite part aut")
-        finite.append(FinitePartElement(tuple(p - 1 for p in perm1), aut))
-    return TorusAction(rank, w, norm, tuple(finite))
+        finite.append(torus.FinitePartElement(tuple(p - 1 for p in perm1), aut))
+    return torus.TorusAction(rank, w, norm, tuple(finite))
 
 
-def dump_action(action: TorusAction) -> dict[str, Any]:
+def dump_action(action: torus.TorusAction) -> dict[str, Any]:
     out: dict[str, Any] = {
         "rank": action.rank,
         "weights": [list(action.character(j)) for j in range(action.dim)],
     }
-    if action.norm_form.entries != IntMatrix.identity(action.rank).entries:
+    if action.norm_form.entries != lattice.IntMatrix.identity(action.rank).entries:
         out["norm_form"] = [list(r) for r in action.norm_form.entries]
     if action.finite_part:
         out["finite_part"] = [
@@ -114,7 +111,7 @@ def dump_action(action: TorusAction) -> dict[str, Any]:
     return out
 
 
-def parse_support(value: Any, dim: int) -> Support:
+def parse_support(value: Any, dim: int) -> torus.Support:
     idx = parse_int_list(value, "support")
     if any(j < 1 or j > dim for j in idx):
         raise InputError(f"support indices must lie in 1..{dim}")
@@ -123,12 +120,12 @@ def parse_support(value: Any, dim: int) -> Support:
     return frozenset(j - 1 for j in idx)
 
 
-def dump_support(s: Support) -> list[int]:
+def dump_support(s: torus.Support) -> list[int]:
     return [j + 1 for j in sorted(s)]
 
 
-def dump_supports(supports: Sequence[Support]) -> list[list[int]]:
-    return [dump_support(s) for s in sorted(supports, key=support_key)]
+def dump_supports(supports: Sequence[torus.Support]) -> list[list[int]]:
+    return [dump_support(s) for s in sorted(supports, key=torus.support_key)]
 
 
 def parse_vector(value: Any, length: int, what: str = "vector") -> tuple[int, ...]:
@@ -138,7 +135,7 @@ def parse_vector(value: Any, length: int, what: str = "vector") -> tuple[int, ..
     return tuple(v)
 
 
-def parse_center(doc: Mapping[str, Any], dim: int) -> MonomialWeightedCenter:
+def parse_center(doc: Mapping[str, Any], dim: int) -> rees.MonomialWeightedCenter:
     if not isinstance(doc, Mapping):
         raise InputError("center must be a JSON object")
     coords1 = parse_int_list(doc.get("coords"), "center coords")
@@ -148,16 +145,16 @@ def parse_center(doc: Mapping[str, Any], dim: int) -> MonomialWeightedCenter:
     if any(j < 1 or j > dim for j in coords1):
         raise InputError(f"center coords must lie in 1..{dim}")
     order = sorted(range(len(coords1)), key=lambda i: coords1[i])
-    return MonomialWeightedCenter(
+    return rees.MonomialWeightedCenter(
         tuple(coords1[i] - 1 for i in order), tuple(weights[i] for i in order)
     )
 
 
-def dump_center(center: MonomialWeightedCenter) -> dict[str, Any]:
+def dump_center(center: rees.MonomialWeightedCenter) -> dict[str, Any]:
     return {"coords": [j + 1 for j in center.coords], "weights": list(center.weights)}
 
 
-def dump_presentation(eb: EBPresentation) -> dict[str, Any]:
+def dump_presentation(eb: rees.EBPresentation) -> dict[str, Any]:
     return {
         "original": dump_action(eb.original),
         "center": dump_center(eb.center),
@@ -171,7 +168,7 @@ def dump_presentation(eb: EBPresentation) -> dict[str, Any]:
     }
 
 
-def parse_graph(doc: Mapping[str, Any]) -> TwistedCurveGraph:
+def parse_graph(doc: Mapping[str, Any]) -> quasimap.TwistedCurveGraph:
     if not isinstance(doc, Mapping):
         raise InputError("dual graph must be a JSON object")
     raw_vertices = doc.get("vertices")
@@ -193,7 +190,8 @@ def parse_graph(doc: Mapping[str, Any]) -> TwistedCurveGraph:
         degrees = rv.get("degrees", {})
         if not isinstance(degrees, Mapping):
             raise InputError(f"vertex {i} degrees must be an object")
-        vertices.append(Vertex(genus, in_dm, {k: parse_rational(v) for k, v in degrees.items()}))
+        degrees = {k: parse_rational(v) for k, v in degrees.items()}
+        vertices.append(quasimap.Vertex(genus, in_dm, degrees))
     raw_edges = doc.get("edges", [])
     raw_legs = doc.get("legs", [])
     if not isinstance(raw_edges, list) or not isinstance(raw_legs, list):
@@ -210,10 +208,10 @@ def parse_graph(doc: Mapping[str, Any]) -> TwistedCurveGraph:
         if len(l) not in (1, 2):
             raise InputError("legs are [v] or [v, marking_index]")
         legs.append((l[0], l[1] if len(l) == 2 else 1))
-    return TwistedCurveGraph(tuple(vertices), tuple(edges), tuple(legs), tuple(bundles))
+    return quasimap.TwistedCurveGraph(tuple(vertices), tuple(edges), tuple(legs), tuple(bundles))
 
 
-def dump_graph(graph: TwistedCurveGraph) -> dict[str, Any]:
+def dump_graph(graph: quasimap.TwistedCurveGraph) -> dict[str, Any]:
     return {
         "vertices": [
             {
@@ -229,7 +227,7 @@ def dump_graph(graph: TwistedCurveGraph) -> dict[str, Any]:
     }
 
 
-def parse_divisor_config(doc: Mapping[str, Any]) -> DivisorConfig:
+def parse_divisor_config(doc: Mapping[str, Any]) -> quasimap.DivisorConfig:
     if not isinstance(doc, Mapping):
         raise InputError("divisor config must be a JSON object")
     ambient = doc.get("ambient")
@@ -242,7 +240,7 @@ def parse_divisor_config(doc: Mapping[str, Any]) -> DivisorConfig:
     if not isinstance(mults, list):
         raise InputError("mults must be a list of per-component lists")
     comps = tuple(tuple(parse_int_list(c, "component multiplicities")) for c in mults)
-    return DivisorConfig(ambient, comps, n)
+    return quasimap.DivisorConfig(ambient, comps, n)
 
 
 def dumps(obj: Any) -> str:

@@ -31,8 +31,6 @@ from typing import Literal, Mapping, Sequence
 
 from ._record import record
 from .errors import InputError
-from .lattice import IntMatrix
-from .torus import TorusAction, cone_over_projective, is_semistable, is_stable
 
 LOG_BUNDLE = "L_X"
 DM_BUNDLE = "L"
@@ -239,36 +237,6 @@ def check_binary_forms(multiplicities: Sequence[int], n: int,
     if mode == STABLE_DM:
         return max(mults) <= n - 1
     raise InputError(f"unknown mode {mode!r}")
-
-
-def binary_forms_hm(multiplicities: Sequence[int], n: int,
-                    mode: Literal["semistable", "stable_dm"]) -> bool:
-    """Hilbert-Mumford route to the same answer, through the affine cone.
-
-    Every one-parameter subgroup of the automorphism group of P^1 is
-    diagonal after placing two points (or fewer) of the divisor at 0 and
-    infinity, so the configuration is (semi)stable iff, for every such
-    placement, the cone point with the induced coefficient support is
-    (semi)stable for the distinguished cone character.  The coefficient
-    of x^k y^(2n-k) carries torus weight k - n, and a placement with
-    multiplicity a at 0 and b at infinity leaves the coefficients
-    a..2n-b generically nonzero.
-    """
-    mults = _binary_form_multiplicities(multiplicities, n)
-    base = TorusAction(1, IntMatrix.from_rows([[k - n for k in range(2 * n + 1)]]))
-    reduction = cone_over_projective(base, (0,), 1)
-    placements = {(0, 0)}
-    for i, a in enumerate(mults):
-        placements.add((a, 0))
-        for j, b in enumerate(mults):
-            if i != j:
-                placements.add((a, b))
-    test = is_semistable if mode == SEMISTABLE else is_stable
-    for a, b in sorted(placements):
-        sup = frozenset(range(a, 2 * n - b + 1))
-        if not test(reduction.action, reduction.character, sup):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

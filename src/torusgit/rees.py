@@ -21,11 +21,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import record
-from .errors import ComputationDeclined, InputError
-from .lattice import monomials_up_to_degree
+from .errors import DEFAULT_MAX_SUPPORTS, ComputationDeclined, InputError
 from .torus import Support, TorusAction, semistable_supports
-
-DEFAULT_MAX_SUPPORTS = 1 << 20
 
 
 @record
@@ -145,44 +142,6 @@ def exceptional_divisor(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPP
 # ---------------------------------------------------------------------------
 # Structural checks on the graded presentation
 # ---------------------------------------------------------------------------
-
-
-def check_weighted_sequence(center: MonomialWeightedCenter, n_bound: int = 8,
-                            total_degree_bound: int = 8) -> bool:
-    """Sanity of the induced ideal sequence on small degrees: I_n I_m is
-    contained in I_{n+m} (multiplicativity) and each I_n is generated by
-    the I_i with i <= max(a_j) (generation bound), checked on monomials
-    of total degree <= the bound."""
-    k = len(center.coords)
-    d = max(center.weights)
-    wts = center.weights
-
-    def wdeg(alpha: Sequence[int]) -> int:
-        return sum(a * e for a, e in zip(wts, alpha))
-
-    monos = monomials_up_to_degree(k, total_degree_bound)
-
-    def generated(alpha: tuple[int, ...], m: int) -> bool:
-        # is alpha in the ideal spanned by products of I_i, i <= d, of total weight m?
-        if m <= d:
-            return wdeg(alpha) >= m
-        return any(
-            alpha[j] >= 1
-            and generated(tuple(a - (1 if i == j else 0) for i, a in enumerate(alpha)),
-                          m - wts[j])
-            for j in range(k)
-        )
-
-    for n in range(1, n_bound + 1):
-        in_n = [alpha for alpha in monos if wdeg(alpha) >= n]
-        for alpha in in_n:
-            for beta in monos:
-                if wdeg(beta) >= 1 and sum(alpha) + sum(beta) <= total_degree_bound:
-                    if wdeg(tuple(a + b for a, b in zip(alpha, beta))) < n + 1:
-                        return False
-            if not generated(alpha, n):
-                return False
-    return True
 
 
 def check_presentation(eb: EBPresentation) -> list[str]:

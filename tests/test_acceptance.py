@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_action, random_character
+from reference import binary_forms_hm
 from torusgit.desing import desingularize, verify_tower
 from torusgit.lattice import IntMatrix, hilbert_basis_bounded
 from torusgit.luna import cubics_example, cubics_slice
@@ -18,7 +19,6 @@ from torusgit.quasimap import (
     DvrMapData,
     TwistedCurveGraph,
     Vertex,
-    binary_forms_hm,
     check_binary_forms,
     check_pencil_degrees,
     dvr_lift,

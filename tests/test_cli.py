@@ -9,7 +9,7 @@ import pytest
 
 import torusgit
 from conftest import DEGENERATE_20, GENERAL_POSITION_16
-from torusgit.cli import run
+from torusgit.cli import build_parser, run
 from torusgit.errors import InternalError, TorusGitError
 
 
@@ -128,15 +128,56 @@ def test_binary_forms_n_zero_is_an_input_error(capsys):
     assert rc == 1 and doc == {"error": "n must be >= 1", "kind": "input"}
 
 
+def _fresh_interpreter(*args):
+    src = str(Path(torusgit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     """The CLI's start-up cost: importing it must not pull in either module."""
     code = ("import sys; before = set(sys.modules); import torusgit.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    src = str(Path(torusgit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter("-c", code).stdout.strip() == "[]"
+
+
+CLI_CORE = {"_record", "cli", "errors", "jsonio"}
+TORUS_CORE = CLI_CORE | {"lattice", "torus"}
+COLD_CALLS = [
+    (["semistable", "--action", HYPERBOLA, "--char", "[1]", "--support", "[1,2]"], TORUS_CORE),
+    (["invariants", "--action", HYPERBOLA], TORUS_CORE),
+    (["walls", "--action", HYPERBOLA], TORUS_CORE | {"walls"}),
+    (["saturate", "--action", HYPERBOLA, "--center", '{"coords": [1], "weights": [1]}'],
+     TORUS_CORE | {"rees"}),
+    (["desing", "--action", HYPERBOLA], TORUS_CORE | {"rees", "desing"}),
+    (["luna-cubics"], TORUS_CORE | {"rees", "desing", "luna"}),
+    (["dvr-lift", "--orders", "[1,2]"], CLI_CORE | {"quasimap"}),
+    (["binary-forms", "--n", "2", "--mults", "[2,2]"], CLI_CORE | {"quasimap"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COLD_CALLS, ids=[argv[0] for argv, _ in COLD_CALLS])
+def test_a_cold_call_runs_only_the_modules_its_subcommand_uses(argv, loaded):
+    """Submodules not yet run are registered lazily and are not plain modules."""
+    code = ("import io, json, sys, types, contextlib; import torusgit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = torusgit.cli.run(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(name.split('.', 1)[1] for name, m in sys.modules.items()"
+            " if name.startswith('torusgit.') and type(m) is types.ModuleType)]))")
+    rc, modules = json.loads(_fresh_interpreter("-c", code, *argv).stdout)
+    assert rc == 0 and set(modules) == loaded
+
+
+def test_running_the_cli_module_writes_nothing_to_stderr():
+    """``python -m torusgit.cli`` would warn if the package had already run ``cli``."""
+    proc = _fresh_interpreter("-m", "torusgit.cli", "dvr-lift", "--orders", "[1,2]")
+    assert proc.stderr == "" and json.loads(proc.stdout)["m"] == 1
+
+
+def test_max_supports_default_is_the_guards_default():
+    args = build_parser().parse_args(["luna-cubics"])
+    assert args.max_supports == torusgit.rees.DEFAULT_MAX_SUPPORTS
 
 
 def test_luna_cubics_certificate(capsys):

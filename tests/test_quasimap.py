@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from reference import binary_forms_hm
 from torusgit.errors import InputError
 from torusgit.quasimap import (
     DivisorConfig,
     DvrMapData,
     TwistedCurveGraph,
     Vertex,
-    binary_forms_hm,
     check_binary_forms,
     check_pencil_degrees,
     check_twisted_conic,

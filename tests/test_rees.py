@@ -1,11 +1,11 @@
 import pytest
 
+from reference import check_weighted_sequence
 from torusgit.errors import InputError
 from torusgit.lattice import IntMatrix, monomials_up_to_degree
 from torusgit.rees import (
     MonomialWeightedCenter,
     check_presentation,
-    check_weighted_sequence,
     exceptional_divisor,
     extended_weighted_blowup,
     saturated_locus,
