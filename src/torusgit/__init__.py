@@ -38,7 +38,6 @@ _PUBLIC = {
         "combine_linearizations",
         "cone_over_projective",
         "effectivize",
-        "hm_pairing",
         "is_semistable",
         "is_stable",
         "limit_cone",
@@ -46,7 +45,6 @@ _PUBLIC = {
         "normalized_hm_min",
         "semistable_supports",
         "stabilizer",
-        "two_step_semistable",
     ),
     "walls": (
         "WallArrangement",

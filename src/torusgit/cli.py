@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import desing, jsonio, lattice, luna, quasimap, rees, torus, walls
-from .errors import DEFAULT_MAX_SUPPORTS, InputError, TorusGitError
+from .errors import DEFAULT_MAX_SUPPORTS, InputError, TorusGitError, guard_supports
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,8 +32,16 @@ def _read_json(value: str) -> Any:
     if value[:1] in "[{\"":
         return jsonio.load_json(value)
     path = Path(value)
-    if path.exists():
-        return jsonio.load_json(path.read_text(encoding="utf-8"))
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. a name too long for the file system: not a file
+        is_file = False
+    if is_file:
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {value}: {exc}") from None
+        return jsonio.load_json(text)
     if value[:1] in "-0123456789tfn":
         return jsonio.load_json(value)
     raise InputError(f"no such file: {value}")
@@ -90,7 +98,7 @@ def _cmd_hm_min(args) -> dict:
 
 def _cmd_minimal_values(args) -> dict:
     a = _action(args)
-    rees.guard_supports(a.dim, args.max_supports)
+    guard_supports(a.dim, args.max_supports)
     chi = jsonio.parse_vector(_read_json(args.char), a.rank, "character")
     values = sorted(torus.minimal_hm_values(a, chi))
     return {"values": [_signed_square(v) for v in values]}
@@ -98,7 +106,7 @@ def _cmd_minimal_values(args) -> dict:
 
 def _cmd_combine(args) -> dict:
     a = _action(args)
-    rees.guard_supports(a.dim, args.max_supports)
+    guard_supports(a.dim, args.max_supports)
     chi_l = jsonio.parse_vector(_read_json(args.char_l), a.rank, "chi_L")
     chi_m = jsonio.parse_vector(_read_json(args.char_m), a.rank, "chi_M")
     res = torus.combine_linearizations(a, chi_l, chi_m)

@@ -21,15 +21,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import record
-from .errors import ComputationDeclined, InputError
+from .errors import DEFAULT_MAX_SUPPORTS, ComputationDeclined, InputError, guard_supports
 from .lattice import monomials_up_to_degree, rank
 from .rees import (
-    DEFAULT_MAX_SUPPORTS,
     EBPresentation,
     MonomialWeightedCenter,
     check_presentation,
     extended_weighted_blowup,
-    guard_supports,
 )
 from .torus import (
     Support,

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by every module; each class carries the
 ``kind`` the CLI prints in its error document and the ``exit_code`` it returns.
-Also the default of the support-count guard, which raises ComputationDeclined."""
+Also the support-count guard, which raises ComputationDeclined, and its default."""
 
-# kept out of the engine modules, so that building the CLI parser loads none of them
+# kept out of the engine modules, so that building the CLI parser or guarding a
+# scan loads none of them
 DEFAULT_MAX_SUPPORTS = 1 << 20
 
 
@@ -30,3 +31,9 @@ class ComputationDeclined(TorusGitError):
 
 class InternalError(TorusGitError):
     """An internal invariant was violated; indicates a bug (CLI exit code 3)."""
+
+
+def guard_supports(dim: int, max_supports: int) -> None:
+    """Decline a scan over the 2^dim supports of A^dim above ``max_supports``."""
+    if 1 << dim > max_supports:
+        raise ComputationDeclined(f"2^{dim} supports exceed --max-supports={max_supports}")

@@ -7,7 +7,7 @@ loci) reduces to a handful of primitives implemented here:
   and the saturated integer kernel derived from it;
 * one fraction-free (Bareiss) Gauss-Jordan elimination, behind the rank,
   the determinant, the unimodular inverse, exact rational solves (and
-  ``span_split``), Sylvester's test and reduced echelon bases;
+  ``span_split``), Sylvester's test, reduced echelon bases and cone rays;
 * the one strict cone question -- is there a lambda in a rational
   polyhedral cone with <lambda, objective> > 0? -- decided by
   Fourier-Motzkin elimination of a mixed strict/non-strict system;
@@ -439,12 +439,12 @@ def cone_nonzero_point(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ..
     """A nonzero integer point of {x : <m, x> >= 0 for m in rows}.
 
     Every nonzero polyhedral cone contains either a nonzero point of its
-    lineality space or an extreme ray.  Once the lineality space is {0}
-    the cone is pointed, and each extreme ray is the 1-dimensional kernel
-    of dim - 1 linearly independent active normals.  Fewer than dim - 1
-    normals have a kernel of dimension >= 2, so only subsets of size
-    dim - 1 are tried.  The search is complete in every dimension, at a
-    cost of about C(m, dim - 1) kernel computations for m normals.
+    lineality space, tested by one rank, or an extreme ray.  Once the
+    lineality space is {0} the cone is pointed, and each extreme ray is
+    the 1-dimensional kernel of dim - 1 linearly independent active
+    normals, read off one elimination.  Fewer normals have a kernel of
+    dimension >= 2, so only subsets of size dim - 1 are tried.  The search
+    is complete in every dimension, at a cost of C(m, dim - 1) eliminations.
     """
     if dim == 0:
         return None
@@ -457,19 +457,22 @@ def cone_nonzero_point(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ..
         return all(dot(x, m) >= 0 for m in normals)
 
     # lineality space first
-    lin = kernel_basis(IntMatrix.from_rows([list(m) for m in normals], dim))
-    if lin:
-        return primitive(lin[0])
-    seen: set[tuple[int, ...]] = set()
-    for subset in itertools.combinations(range(len(normals)), dim - 1):
-        mat = IntMatrix.from_rows([list(normals[i]) for i in subset], dim)
-        basis = kernel_basis(mat)
-        if len(basis) != 1:
+    mat = IntMatrix.from_rows(normals, dim)
+    if rank(mat) < dim:
+        return primitive(kernel_basis(mat)[0])
+    for subset in itertools.combinations(normals, dim - 1):
+        a = [list(m) for m in subset]
+        pivots = _bareiss(a, dim)[1]
+        if len(pivots) < dim:
             continue
-        v = primitive(basis[0])
-        if v in seen:
-            continue
-        seen.add(v)
+        # the rows are p*(e_lead + c*e_free): (p at free, -row[free] at each lead) spans the kernel
+        leads = [next(j for j, x in enumerate(row) if x) for row in a]
+        free = next(j for j in range(dim) if j not in leads)
+        v = [0] * dim
+        v[free] = pivots[-1]
+        for lead, row in zip(leads, a):
+            v[lead] = -row[free]
+        v = primitive(v)
         if in_cone(v):
             return v
         w = tuple(-e for e in v)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from ._record import record
 from .errors import InputError, InternalError
-from .lattice import IntMatrix, hilbert_basis_bounded, kernel_basis, rank
+from .lattice import IntMatrix, echelon_basis, hilbert_basis_bounded, kernel_basis
 from .desing import DesingTower, desingularize, verify_tower
 from .rees import EBPresentation, MonomialWeightedCenter, extended_weighted_blowup
 from .torus import (
@@ -70,19 +70,12 @@ def slice_at_fixed_point(
     restricted = [kt.mul_vec(action.character(j)) for j in range(action.dim)]
 
     if orbit_directions is None:
-        orbit_rank = rank(IntMatrix.from_rows(support_rows, action.rank))
         # the torus orbit moves along independent support directions, all of
-        # stabilizer weight zero; drop the lexicographically first such set
-        moved: list[int] = []
-        taken: list[list[int]] = []
-        for j in cols:
-            cand = taken + [list(action.character(j))]
-            if rank(IntMatrix.from_rows(cand, action.rank)) == len(cand):
-                taken = cand
-                moved.append(j)
-        if len(moved) != orbit_rank:
-            raise InternalError("could not select independent moved coordinates")
-        orbit_directions = moved
+        # stabilizer weight zero; drop the lexicographically first such set,
+        # the pivot columns of W_s
+        w_s = action.weights.submatrix_cols(cols).entries
+        orbit_directions = [cols[next(j for j, x in enumerate(row) if x)]
+                            for row in echelon_basis(w_s, len(cols))]
     orbit = sorted(orbit_directions)
     if any(j < 0 or j >= action.dim for j in orbit) or len(set(orbit)) != len(orbit):
         raise InputError("orbit directions out of range or repeated")

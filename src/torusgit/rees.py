@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._record import record
-from .errors import DEFAULT_MAX_SUPPORTS, ComputationDeclined, InputError
+from .errors import DEFAULT_MAX_SUPPORTS, InputError, guard_supports
 from .torus import Support, TorusAction, semistable_supports
 
 
@@ -91,12 +91,6 @@ def extended_weighted_blowup(action: TorusAction, center: MonomialWeightedCenter
     ambient = action.with_factor(substitution, t_weight=-1)
     theta = tuple(0 for _ in range(action.rank)) + (-1,)
     return EBPresentation(action, center, ambient, theta, n, substitution)
-
-
-def guard_supports(dim: int, max_supports: int) -> None:
-    """Decline a scan over the 2^dim supports of A^dim above ``max_supports``."""
-    if 1 << dim > max_supports:
-        raise ComputationDeclined(f"2^{dim} supports exceed --max-supports={max_supports}")
 
 
 def weighted_blowup_locus(eb: EBPresentation, max_supports: int = DEFAULT_MAX_SUPPORTS) -> list[Support]:

@@ -197,13 +197,6 @@ def limit_cone(action: TorusAction, s: Support) -> tuple[Character, ...]:
     return tuple(action.character(j) for j in sorted(s))
 
 
-def hm_pairing(action: TorusAction, chi: Sequence[int], lam: Sequence[int]) -> int:
-    """mu^chi(lambda) = -<lambda, chi>."""
-    if len(chi) != action.rank or len(lam) != action.rank:
-        raise InputError("character/cocharacter length does not match the rank")
-    return -dot(lam, chi)
-
-
 def is_semistable(action: TorusAction, chi: Sequence[int], s: Support) -> bool:
     """No destabilizing one-parameter subgroup: no lambda in the limit cone
     with <lambda, chi> > 0."""
@@ -462,22 +455,6 @@ def combine_linearizations(
             m0 += 1
     combined = tuple(m0 * a + b for a, b in zip(chi_l, chi_m))
     return CombinedLinearization(m0, combined, d, e)
-
-
-def two_step_semistable(
-    action: TorusAction, chi_l: Sequence[int], chi_m: Sequence[int], s: Support
-) -> bool:
-    """Membership in the two-step locus: semistable for chi_l, and every
-    lambda in the limit cone with <lambda, chi_l> = 0 has <lambda, chi_m> <= 0.
-
-    This is the support-level shadow of taking the chi_m-semistable locus
-    relative to the good moduli space of the chi_l-semistable locus; it is
-    the brute-force oracle against which the m0 bound is validated.
-    """
-    if not is_semistable(action, chi_l, s):
-        return False
-    rows = limit_cone(action, s) + (tuple(chi_l), tuple(-x for x in chi_l))
-    return not cone_has_point_with(rows, chi_m)
 
 
 # ---------------------------------------------------------------------------

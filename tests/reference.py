@@ -1,17 +1,105 @@
 """Independent reference computations the tests compare the library against.
 
-Neither routine has a caller in the package: each checks a closed-form rule
-of the package by a longer route through other parts of it.
+No routine here has a caller in the package: each checks a rule or a fast
+path of the package by a longer route, often through other parts of it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Literal, Sequence
 
-from torusgit.lattice import IntMatrix, monomials_up_to_degree
+from torusgit.errors import InputError
+from torusgit.lattice import (
+    IntMatrix,
+    cone_has_point_with,
+    dot,
+    kernel_basis,
+    monomials_up_to_degree,
+    primitive,
+    rank,
+)
 from torusgit.quasimap import SEMISTABLE, _binary_form_multiplicities
 from torusgit.rees import MonomialWeightedCenter
-from torusgit.torus import TorusAction, cone_over_projective, is_semistable, is_stable
+from torusgit.torus import (
+    Support,
+    TorusAction,
+    cone_over_projective,
+    is_semistable,
+    is_stable,
+    limit_cone,
+)
+
+
+def hm_pairing(action: TorusAction, chi: Sequence[int], lam: Sequence[int]) -> int:
+    """mu^chi(lambda) = -<lambda, chi>."""
+    if len(chi) != action.rank or len(lam) != action.rank:
+        raise InputError("character/cocharacter length does not match the rank")
+    return -dot(lam, chi)
+
+
+def two_step_semistable(
+    action: TorusAction, chi_l: Sequence[int], chi_m: Sequence[int], s: Support
+) -> bool:
+    """Membership in the two-step locus: semistable for chi_l, and every
+    lambda in the limit cone with <lambda, chi_l> = 0 has <lambda, chi_m> <= 0.
+
+    This is the support-level shadow of taking the chi_m-semistable locus
+    relative to the good moduli space of the chi_l-semistable locus; it is
+    the brute-force oracle against which the m0 bound is validated.
+    """
+    if not is_semistable(action, chi_l, s):
+        return False
+    rows = limit_cone(action, s) + (tuple(chi_l), tuple(-x for x in chi_l))
+    return not cone_has_point_with(rows, chi_m)
+
+
+def cone_nonzero_point_snf(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ...] | None:
+    """``lattice.cone_nonzero_point`` with every kernel, the lineality space
+    and each candidate ray alike, taken from a Smith normal form."""
+    if dim == 0:
+        return None
+    normals = [primitive(m) for m in rows]
+    normals = [m for m in normals if any(e != 0 for e in m)]
+    if not normals:
+        return tuple(1 if i == 0 else 0 for i in range(dim))
+
+    def in_cone(x: Sequence[int]) -> bool:
+        return all(dot(x, m) >= 0 for m in normals)
+
+    lin = kernel_basis(IntMatrix.from_rows([list(m) for m in normals], dim))
+    if lin:
+        return primitive(lin[0])
+    seen: set[tuple[int, ...]] = set()
+    for subset in itertools.combinations(range(len(normals)), dim - 1):
+        mat = IntMatrix.from_rows([list(normals[i]) for i in subset], dim)
+        basis = kernel_basis(mat)
+        if len(basis) != 1:
+            continue
+        v = primitive(basis[0])
+        if v in seen:
+            continue
+        seen.add(v)
+        if in_cone(v):
+            return v
+        w = tuple(-e for e in v)
+        if in_cone(w):
+            return w
+    return None
+
+
+def greedy_orbit_directions(action: TorusAction, s: Support) -> list[int]:
+    """The default orbit directions of ``luna.slice_at_fixed_point``: the
+    coordinates of s, in order, whose character is independent of the
+    characters taken before it, by one rank per coordinate."""
+    moved: list[int] = []
+    taken: list[list[int]] = []
+    for j in sorted(s):
+        cand = taken + [list(action.character(j))]
+        if rank(IntMatrix.from_rows(cand, action.rank)) == len(cand):
+            taken = cand
+            moved.append(j)
+    return moved
 
 
 def binary_forms_hm(multiplicities: Sequence[int], n: int,

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from conftest import random_action, random_character
-from reference import binary_forms_hm
+from reference import binary_forms_hm, two_step_semistable
 from torusgit.desing import desingularize, verify_tower
 from torusgit.lattice import IntMatrix, hilbert_basis_bounded
 from torusgit.luna import cubics_example, cubics_slice
@@ -32,7 +32,6 @@ from torusgit.torus import (
     effectivize,
     is_semistable,
     stabilizer,
-    two_step_semistable,
 )
 from torusgit.walls import compute_walls, find_generic_character, is_generic, pull_back, verify_ss_equals_s
 

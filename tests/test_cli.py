@@ -56,6 +56,18 @@ def test_combine_and_minimal_values(capsys):
     assert doc["values"] == [{"sign": -1, "square": 1}, {"sign": 1, "square": 1}]
 
 
+def test_unreadable_paths_are_input_errors(capsys, tmp_path):
+    """A name too long for the file system is not a file, so the long number
+    fails its own check; a directory or a file that is not UTF-8 cannot be read."""
+    undecodable = tmp_path / "action.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for argv in (["semistable", "--action", HYPERBOLA, "--char", "1" * 300, "--support", "[1]"],
+                 ["dvr-lift", "--orders", str(tmp_path)],
+                 ["semistable", "--action", str(undecodable), "--char", "[1]", "--support", "[1]"]):
+        rc, doc = invoke(argv, capsys)
+        assert rc == 1 and doc["kind"] == "input", argv
+
+
 def test_walls_and_generic_character(capsys):
     action = '{"rank": 2, "weights": [[1,0], [0,1], [1,1]]}'
     rc, doc = invoke(["walls", "--action", action], capsys)
@@ -147,6 +159,8 @@ TORUS_CORE = CLI_CORE | {"lattice", "torus"}
 COLD_CALLS = [
     (["semistable", "--action", HYPERBOLA, "--char", "[1]", "--support", "[1,2]"], TORUS_CORE),
     (["invariants", "--action", HYPERBOLA], TORUS_CORE),
+    (["minimal-values", "--action", HYPERBOLA, "--char", "[1]"], TORUS_CORE),
+    (["combine", "--action", HYPERBOLA, "--char-l", "[1]", "--char-m", "[-1]"], TORUS_CORE),
     (["walls", "--action", HYPERBOLA], TORUS_CORE | {"walls"}),
     (["saturate", "--action", HYPERBOLA, "--center", '{"coords": [1], "weights": [1]}'],
      TORUS_CORE | {"rees"}),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import cone_nonzero_point_snf
 from torusgit import lattice
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import (
@@ -484,6 +485,47 @@ def test_cone_nonzero_point_is_complete_in_higher_dimensions(rng, dim):
             assert any(pt) and all(dot(pt, n) >= 0 for n in normals)
         outcomes.add(nonzero)
     assert outcomes == {True, False}
+
+
+@st.composite
+def cone_rows(draw):
+    """dim 0-6 and up to 10 rows, some repeating, negating or scaling an
+    earlier row, some zero."""
+    dim = draw(st.integers(0, 6))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["new", "new", "new", "repeat", "opposite", "scaled", "zero"]))
+        if kind == "zero":
+            rows.append((0,) * dim)
+        elif kind == "new" or not rows:
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))))
+        else:
+            row = draw(st.sampled_from(rows))
+            factor = {"repeat": 1, "opposite": -1, "scaled": draw(st.sampled_from([2, 3, -2]))}[kind]
+            rows.append(tuple(factor * x for x in row))
+    return rows, dim
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_rows())
+def test_cone_nonzero_point_is_the_smith_form_search(inputs):
+    """The rank test and the one-elimination rays return exactly the point
+    the search through a Smith normal form per kernel returned."""
+    rows, dim = inputs
+    assert cone_nonzero_point(rows, dim) == cone_nonzero_point_snf(rows, dim)
+
+
+def test_cone_nonzero_point_on_a_pointed_cone_takes_no_smith_form(monkeypatch):
+    def refuse(m):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    # the nonnegative octant cut by x0 + x1 <= x2: pointed, with rays found
+    normals = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 1))
+    pt = cone_nonzero_point(normals, 3)
+    assert pt == (0, 0, 1)
+    # the same normals with one more that leaves only the origin
+    assert cone_nonzero_point(normals + ((0, 0, -1),), 3) is None
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,22 @@ def test_slice_weight_count_random(rng):
         assert res.rank == a.rank - mat_rank
 
 
+def test_default_orbit_directions_are_the_greedy_independent_set(rng):
+    """The pivot columns of W_s are the coordinates a rank test per
+    coordinate takes, in order, on seeded random actions."""
+    from conftest import random_action
+    from reference import greedy_orbit_directions
+
+    tried = 0
+    while tried < 200:
+        a = random_action(rng, max_rank=4, max_dim=7, entry_bound=2)
+        s = frozenset(j for j in range(a.dim) if rng.random() < 0.6)
+        if not stabilizer(a, s).dimension:
+            continue
+        tried += 1
+        assert slice_at_fixed_point(a, s) == slice_at_fixed_point(a, s, greedy_orbit_directions(a, s))
+
+
 def test_slice_origin_is_whole_ambient():
     a = action([[1, -1, 3]])
     res = slice_at_fixed_point(a, frozenset())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEGENERATE_20, GENERAL_POSITION_16, random_action, random_character
+from reference import hm_pairing, two_step_semistable
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import (
     IntMatrix, cone_nonzero_point, dot, echelon_basis, kernel_basis, primitive, rank,
@@ -20,7 +21,6 @@ from torusgit.torus import (
     combine_linearizations,
     cone_over_projective,
     effectivize,
-    hm_pairing,
     in_orbit_changing_locus,
     is_semistable,
     is_stable,
@@ -30,7 +30,6 @@ from torusgit.torus import (
     semistable_supports,
     stabilizer,
     support_key,
-    two_step_semistable,
 )
 from torusgit import torus
 from torusgit.torus import _face_direction
