@@ -33,6 +33,8 @@ def parse_rational(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:  # 1e-99999999 would build 10**99999999
+            raise InputError(f"malformed rational {value!r}: write it as 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -251,5 +253,5 @@ def dumps(obj: Any) -> str:
 def load_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InputError(f"malformed JSON: {exc}") from exc

@@ -13,8 +13,9 @@ loci) reduces to a handful of primitives implemented here:
   Fourier-Motzkin elimination of a mixed strict/non-strict system;
 * extraction of a nonzero integer point from a rational polyhedral cone,
   by enumerating candidate minimal faces;
-* bounded enumeration of the minimal generators of the monoid of
-  non-negative integer solutions of ``W a = 0`` (invariant monomials).
+* the minimal generators, up to a degree bound, of the monoid of
+  non-negative integer solutions of ``W a = 0`` (invariant monomials),
+  by Contejean-Devie completion.
 
 No floating point is used anywhere: coordinates are Python integers and
 ``fractions.Fraction``.  The predicates here are wall-sensitive, so an
@@ -486,38 +487,36 @@ def cone_nonzero_point(rows: Sequence[Sequence[int]], dim: int) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _iter_exponents_exact(n_vars: int, total: int):
-    if n_vars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _iter_exponents_exact(n_vars - 1, total - head):
-            yield (head,) + tail
-
-
-def monomials_up_to_degree(n_vars: int, bound: int) -> list[tuple[int, ...]]:
-    if n_vars == 0:
-        return [()]
-    out = []
-    for total in range(bound + 1):
-        out.extend(_iter_exponents_exact(n_vars, total))
-    return out
-
-
 def hilbert_basis_bounded(weights: IntMatrix, degree_bound: int) -> list[tuple[int, ...]]:
-    """Minimal generators of {a in N^N : W a = 0} of total degree <= bound.
+    """Minimal generators of {a in N^N : W a = 0} of total degree <= bound,
+    sorted by (total degree, exponents).
 
-    Exhaustive enumeration with minimality pruning: a solution is kept iff
-    it does not dominate another nonzero solution coordinatewise.
+    Contejean-Devie completion (Inform. and Comput. 113, 1994): grow the
+    unit vectors one degree at a time, taking each degree's solutions
+    before growing from it.  A non-solution a grows to a + e_j only when
+    <W a, W e_j> < 0, and never to a vector above a solution already
+    found; every minimal solution is reached this way, and a solution
+    reached is minimal.  The search stops at the bound, or earlier when
+    nothing is left to grow.
     """
     if degree_bound < 1:
         raise InputError("degree_bound must be >= 1")
-    n = weights.cols
-    zero = tuple(0 for _ in range(weights.rows))
-    sols = [a for a in monomials_up_to_degree(n, degree_bound)
-            if any(e != 0 for e in a) and weights.mul_vec(a) == zero]
-    minimal = []
-    for a in sols:
-        if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in sols):
-            minimal.append(a)
+    cols = [weights.col(j) for j in range(weights.cols)]
+    # a -> W a over one degree; a solution has W a = 0, so it never grows
+    frontier = {tuple(int(i == j) for i in range(len(cols))): c for j, c in enumerate(cols)}
+    minimal: list[tuple[int, ...]] = []
+    degree = 1
+    while frontier:
+        minimal.extend(sorted(a for a, wa in frontier.items() if not any(wa)))
+        if degree == degree_bound:
+            break
+        grown: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for a, wa in frontier.items():
+            for j, c in enumerate(cols):
+                if dot(wa, c) >= 0:
+                    continue
+                b = tuple(x + (i == j) for i, x in enumerate(a))
+                if b not in grown and not any(all(x <= y for x, y in zip(m, b)) for m in minimal):
+                    grown[b] = tuple(x + y for x, y in zip(wa, c))
+        frontier, degree = grown, degree + 1
     return minimal

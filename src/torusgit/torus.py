@@ -49,6 +49,8 @@ Support = frozenset  # subset of coordinate indices, 0-based
 Character = tuple  # integer vector of length rank
 Cocharacter = tuple
 
+FINITE_GROUP_CAP = 100_000  # elements the finite-part closure may list before it declines
+
 
 def support_key(s: Support) -> tuple[int, tuple[int, ...]]:
     """Deterministic sort key for supports: by size, then lexicographic."""
@@ -152,7 +154,8 @@ class TorusAction:
         return chi
 
     def finite_group_elements(self) -> list[FinitePartElement]:
-        """The group generated by the finite part, via closure under composition."""
+        """The group generated by the finite part, via closure under composition,
+        declined past ``FINITE_GROUP_CAP`` elements."""
         ident = FinitePartElement(tuple(range(self.dim)), IntMatrix.identity(self.rank))
         seen = {(ident.perm, ident.aut.entries): ident}
         frontier = [ident]
@@ -164,6 +167,9 @@ class TorusAction:
                     aut = h.aut.mul(g.aut)
                     key = (perm, aut.entries)
                     if key not in seen:
+                        if len(seen) == FINITE_GROUP_CAP:
+                            raise ComputationDeclined(
+                                f"the finite part generates more than {FINITE_GROUP_CAP} elements")
                         el = FinitePartElement(perm, aut)
                         seen[key] = el
                         nxt.append(el)

@@ -15,12 +15,11 @@ from torusgit.lattice import (
     cone_has_point_with,
     dot,
     kernel_basis,
-    monomials_up_to_degree,
     primitive,
     rank,
 )
 from torusgit.quasimap import SEMISTABLE, _binary_form_multiplicities
-from torusgit.rees import MonomialWeightedCenter
+from torusgit.rees import EBPresentation, MonomialWeightedCenter
 from torusgit.torus import (
     Support,
     TorusAction,
@@ -169,3 +168,54 @@ def check_weighted_sequence(center: MonomialWeightedCenter, n_bound: int = 8,
             if not generated(alpha, n):
                 return False
     return True
+
+
+def _iter_exponents_exact(n_vars: int, total: int):
+    if n_vars == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _iter_exponents_exact(n_vars - 1, total - head):
+            yield (head,) + tail
+
+
+def monomials_up_to_degree(n_vars: int, bound: int) -> list[tuple[int, ...]]:
+    """Every exponent vector of total degree <= bound, by degree and then
+    lexicographically."""
+    if n_vars == 0:
+        return [()]
+    out = []
+    for total in range(bound + 1):
+        out.extend(_iter_exponents_exact(n_vars, total))
+    return out
+
+
+def hilbert_basis_by_enumeration(weights: IntMatrix, degree_bound: int) -> list[tuple[int, ...]]:
+    """``lattice.hilbert_basis_bounded`` by listing every monomial up to the
+    bound: a nonzero solution is kept iff it dominates no other one."""
+    zero = tuple(0 for _ in range(weights.rows))
+    sols = [a for a in monomials_up_to_degree(weights.cols, degree_bound)
+            if any(e != 0 for e in a) and weights.mul_vec(a) == zero]
+    return [a for a in sols
+            if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in sols)]
+
+
+def good_moduli_space_by_monomials(eb: EBPresentation, theta: Sequence[int]) -> str:
+    """The detail of ``verify_tower``'s good_moduli_space row, by monomials of
+    total degree <= 6: pi_* theta^n = I_n for n <= max weight + 1, then the
+    invariant monomials before and after the blow-up."""
+    t_last = theta[-1]
+    center = eb.center
+    monos = monomials_up_to_degree(eb.original.dim, 6)
+    for mono in monos:
+        wdeg = center.weighted_degree(mono)
+        for n in range(max(center.weights) + 2):
+            # the lift X^alpha x^beta T^c has Rees degree wdeg - c
+            if (wdeg + n * t_last >= 0) != (wdeg >= n):
+                return f"pushforward of theta^{n} disagrees with I_{n} at monomial {mono}"
+    orig, amb = eb.original, eb.ambient
+    for mono in monos:
+        lift = tuple(mono) + (center.weighted_degree(mono),)
+        if (not any(orig.weights.mul_vec(mono))) != (not any(amb.weights.mul_vec(lift))):
+            return f"invariant monomials differ at {mono}"
+    return ""

@@ -405,3 +405,50 @@ def test_every_support_guard_declines_with_one_text(capsys):
         assert rc == 2, argv
         assert doc == {"error": f"2^{dim} supports exceed --max-supports={limit}",
                        "kind": "declined"}, argv
+
+
+def test_an_integer_over_the_digit_limit_is_an_input_error(capsys):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    integer literal over the interpreter's 4,300-digit limit."""
+    huge = "9" * 5000
+    for argv in (["semistable", "--action", HYPERBOLA, "--char", f"[{huge}]", "--support", "[1]"],
+                 ["dvr-lift", "--orders", huge]):
+        rc, doc = invoke(argv, capsys)
+        assert rc == 1 and doc["kind"] == "input", argv
+        assert doc["error"].startswith("malformed JSON: "), argv
+    rc, doc = invoke(["dvr-lift", "--orders", "[1,"], capsys)
+    assert rc == 1 and doc["error"].startswith("malformed JSON: Expecting value")
+
+
+def test_exponent_notation_in_a_degree_is_an_input_error(capsys):
+    # Fraction("1e-99999999") would build 10**99999999 before failing anything
+    for degree in ("1e-99999999", "2E3", "1.5e1"):
+        graph = json.dumps({"vertices": [{"genus": 0, "in_dm": True,
+                                          "degrees": {"L_X": degree}}]})
+        start = time.perf_counter()
+        rc, doc = invoke(["quasimap", "--graph", graph], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and doc == {"error": f"malformed rational {degree!r}: write it as 'p/q'",
+                                   "kind": "input"}
+    for degree in ("4/2", "2.0"):
+        graph = json.dumps({"vertices": [{"genus": 0, "in_dm": True, "degrees": {"L_X": degree}}]})
+        rc, doc = invoke(["quasimap", "--graph", graph], capsys)
+        assert rc == 0 and doc["class_beta"] == {"L_X": 2}
+
+
+def test_a_finite_part_generating_s10_is_declined(capsys):
+    """A 10-cycle and a transposition generate S_10, 3,628,800 elements; the
+    closure stops once it passes the cap."""
+    n = 10
+    action = json.dumps({"rank": 1, "weights": [[1]] * n, "finite_part": [
+        {"perm": [(j + 1) % n + 1 for j in range(n)], "aut": [[1]]},
+        {"perm": [2, 1, *range(3, n + 1)], "aut": [[1]]},
+    ]})
+    rc, doc = invoke(["stabilizer", "--action", action, "--support", "[1,2]"], capsys)
+    assert rc == 2 and doc == {
+        "error": "the finite part generates more than 100000 elements", "kind": "declined"}
+    # the same generators on 5 coordinates give S_5, well under the cap
+    action = json.dumps({"rank": 1, "weights": [[1]] * 5, "finite_part": [
+        {"perm": [2, 3, 4, 5, 1], "aut": [[1]]}, {"perm": [2, 1, 3, 4, 5], "aut": [[1]]}]})
+    rc, doc = invoke(["stabilizer", "--action", action, "--support", "[1,2]"], capsys)
+    assert rc == 0 and doc["finite_part_order"] == 12  # S_2 x S_3 fixes {1, 2}

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import random_action
+from reference import good_moduli_space_by_monomials
 from torusgit.desing import (
     DesingStep,
     DesingTower,
@@ -10,7 +11,7 @@ from torusgit.desing import (
 )
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import IntMatrix
-from torusgit.rees import EBPresentation, MonomialWeightedCenter
+from torusgit.rees import EBPresentation, MonomialWeightedCenter, extended_weighted_blowup
 from torusgit.torus import TorusAction, effectivize, is_semistable, stabilizer, support_key
 
 
@@ -131,20 +132,48 @@ def test_verify_tower_zero_steps_vacuous():
     assert [c.name for c in report.checks] == ["final_stabilizers_finite"]
 
 
-def test_verify_tower_detects_corrupted_theta():
-    tower = desingularize(HYPERBOLA, (0,))
+def _with_theta(tower, theta):
     step = tower.steps[0]
     eb = step.presentation
-    bad_theta = tuple(-e for e in eb.theta)
-    bad_presentation = EBPresentation(eb.original, eb.center, eb.ambient, bad_theta,
+    bad_presentation = EBPresentation(eb.original, eb.center, eb.ambient, theta,
                                       eb.exceptional_index, eb.substitution)
     bad_step = DesingStep(bad_presentation, step.center, step.m0, step.character)
-    bad_tower = DesingTower(tower.base, tower.start_character, (bad_step,),
-                            tower.final_character, tower.final_dm_supports)
-    report = verify_tower(bad_tower)
-    assert not report.ok
-    failing = {c.name for c in report.checks if not c.ok}
-    assert failing == {"good_moduli_space"}
+    return DesingTower(tower.base, tower.start_character, (bad_step,),
+                       tower.final_character, tower.final_dm_supports)
+
+
+def test_verify_tower_detects_corrupted_theta():
+    tower = desingularize(HYPERBOLA, (0,))
+    assert tower.steps[0].presentation.theta == (0, -1)
+    for t_last, detail in (
+        (1, "pushforward of theta^1 disagrees with I_1 at monomial (0, 0)"),
+        (-2, "pushforward of theta^1 disagrees with I_1 at monomial (0, 1)"),
+    ):
+        report = verify_tower(_with_theta(tower, (0, t_last)))
+        assert not report.ok
+        failing = [(c.name, c.detail) for c in report.checks if not c.ok]
+        assert failing == [("good_moduli_space", detail)]
+
+
+def test_good_moduli_space_check_is_the_monomial_loops(rng):
+    """The closed-form row equals the monomial loops, detail included, on
+    random presentations (rank 0-3, N <= 6, center weights 1-4) with the
+    last entry of theta from -6 to 5."""
+    for _ in range(150):
+        r, n = rng.randint(0, 3), rng.randint(1, 6)
+        base = TorusAction(r, IntMatrix(r, n, tuple(
+            tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r))))
+        coords = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        center = MonomialWeightedCenter(coords, tuple(rng.randint(1, 4) for _ in coords))
+        eb = extended_weighted_blowup(base, center)
+        tower = DesingTower(base, (0,) * r, (DesingStep(eb, center, 1, eb.theta),),
+                            eb.theta, ())
+        for t_last in range(-6, 6):
+            theta = eb.theta[:-1] + (t_last,)
+            row = next(c for c in verify_tower(_with_theta(tower, theta)).checks
+                       if c.name == "good_moduli_space")
+            want = good_moduli_space_by_monomials(eb, theta)
+            assert (row.ok, row.detail) == (not want, want), (base.weights.entries, center, t_last)
 
 
 def test_tower_termination_and_monotonicity(rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import cone_nonzero_point_snf
+from reference import cone_nonzero_point_snf, hilbert_basis_by_enumeration, monomials_up_to_degree
 from torusgit import lattice
 from torusgit.errors import ComputationDeclined, InputError
 from torusgit.lattice import (
@@ -20,7 +20,6 @@ from torusgit.lattice import (
     hilbert_basis_bounded,
     is_positive_definite,
     kernel_basis,
-    monomials_up_to_degree,
     primitive,
     rank,
     smith_normal_form,
@@ -561,6 +560,36 @@ def test_hilbert_basis_outputs_are_solutions_and_incomparable(rng):
             assert w.mul_vec(a) == zero
         for a, b in itertools.permutations(basis, 2):
             assert not all(x <= y for x, y in zip(a, b)), (a, b)
+
+
+@st.composite
+def weight_matrices(draw):
+    """Rank 0-3 and N <= 7, with zero and repeated columns drawn often."""
+    r = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 7))
+    pool = [tuple(draw(st.integers(-3, 3)) for _ in range(r)) for _ in range(draw(st.integers(1, 4)))]
+    pool.append(tuple(0 for _ in range(r)))
+    cols = [draw(st.sampled_from(pool)) if draw(st.booleans())
+            else tuple(draw(st.integers(-3, 3)) for _ in range(r)) for _ in range(n)]
+    return IntMatrix(r, n, tuple(tuple(c[i] for c in cols) for i in range(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_matrices(), st.integers(1, 6))
+def test_hilbert_basis_completion_is_the_enumeration(w, bound):
+    assert hilbert_basis_bounded(w, bound) == hilbert_basis_by_enumeration(w, bound)
+
+
+def test_hilbert_basis_completion_stops_when_nothing_is_left_to_grow():
+    # a bound far past the enumeration's reach: the cubics slice, and a rank-2
+    # action whose 14 generators have degree at most 13
+    from torusgit.luna import cubics_slice
+
+    assert hilbert_basis_bounded(cubics_slice().weights, 10**6) == [(1, 1, 1)]
+    w = IntMatrix.from_rows([[1, 2, -1, -3, 1, 0], [0, 1, 1, -1, -2, 1]])
+    basis = hilbert_basis_bounded(w, 10**18)
+    assert len(basis) == 14 and sum(basis[-1]) == 13
+    assert basis == hilbert_basis_by_enumeration(w, 13)
 
 
 def test_monomials_up_to_degree_counts():

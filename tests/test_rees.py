@@ -1,8 +1,8 @@
 import pytest
 
-from reference import check_weighted_sequence
+from reference import check_weighted_sequence, monomials_up_to_degree
 from torusgit.errors import InputError
-from torusgit.lattice import IntMatrix, monomials_up_to_degree
+from torusgit.lattice import IntMatrix
 from torusgit.rees import (
     MonomialWeightedCenter,
     check_presentation,
@@ -129,8 +129,6 @@ def test_saturated_locus_matches_invariant_section_witnesses(rng):
     positive Rees degree is supported on it.  Witness search up to total
     degree 12 agrees with the cone criterion in both directions on a
     seeded family."""
-    from torusgit.lattice import monomials_up_to_degree
-
     for _ in range(25):
         r = rng.randint(0, 2)
         n = rng.randint(1, 3)
