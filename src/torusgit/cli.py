@@ -3,9 +3,9 @@
 Every subcommand reads JSON (inline or from files), performs one exact
 computation and prints a canonical JSON document on standard output.
 Exit codes: 0 success, 1 input error, 2 computation declined by a guard
-(support-count limit, step limit, exhausted bounded search, work cap), 3
-internal invariant violation.  Output is byte-identical for identical
-inputs; no subcommand uses randomness.
+(support-count limit, step limit, exhausted bounded search, work cap, an
+output integer too long to print), 3 internal invariant violation.  Output
+is byte-identical for identical inputs; no subcommand uses randomness.
 
 Arguments expecting JSON accept either a literal (anything starting with
 '[', '{' or a digit/quote) or a path to a file containing it.
@@ -347,11 +347,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        result = args.fn(args)
+        text = jsonio.dumps(args.fn(args))
     except TorusGitError as exc:
         sys.stdout.write(jsonio.dumps({"error": str(exc), "kind": exc.kind}))
         return exc.exit_code
-    sys.stdout.write(jsonio.dumps(result))
+    sys.stdout.write(text)
     return 0
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from . import lattice, quasimap, rees, torus
-from .errors import InputError
+from .errors import ComputationDeclined, InputError
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -46,7 +46,14 @@ def dump_rational(value: Fraction) -> Any:
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # a part over the interpreter's digit limit
+        raise _unprintable(exc) from None
+
+
+def _unprintable(exc: ValueError) -> ComputationDeclined:
+    return ComputationDeclined(f"an output integer is too long to print: {exc}")
 
 
 def parse_int_list(value: Any, what: str) -> list[int]:
@@ -247,7 +254,10 @@ def parse_divisor_config(doc: Mapping[str, Any]) -> quasimap.DivisorConfig:
 
 def dumps(obj: Any) -> str:
     """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        raise _unprintable(exc) from None
 
 
 def load_json(text: str) -> Any:

@@ -371,6 +371,7 @@ _Row = tuple[tuple[int, ...], bool]  # (coefficients, is_strict)
 
 FM_ROW_CAP = 1_000_000  # rows one Fourier-Motzkin step may produce before it declines
 HM_FACE_CAP = 5_000  # faces one normalized Hilbert-Mumford minimum may visit before it declines
+HILBERT_COMPLETION_CAP = 100_000  # vectors the Hilbert basis completion may list before it declines
 
 
 def feasible_system(rows: list[_Row], dim: int) -> bool:
@@ -497,7 +498,8 @@ def hilbert_basis_bounded(weights: IntMatrix, degree_bound: int) -> list[tuple[i
     <W a, W e_j> < 0, and never to a vector above a solution already
     found; every minimal solution is reached this way, and a solution
     reached is minimal.  The search stops at the bound, or earlier when
-    nothing is left to grow.
+    nothing is left to grow; it declines once it has listed more than
+    ``HILBERT_COMPLETION_CAP`` vectors, the unit vectors included.
     """
     if degree_bound < 1:
         raise InputError("degree_bound must be >= 1")
@@ -505,7 +507,7 @@ def hilbert_basis_bounded(weights: IntMatrix, degree_bound: int) -> list[tuple[i
     # a -> W a over one degree; a solution has W a = 0, so it never grows
     frontier = {tuple(int(i == j) for i in range(len(cols))): c for j, c in enumerate(cols)}
     minimal: list[tuple[int, ...]] = []
-    degree = 1
+    degree, listed = 1, len(frontier)
     while frontier:
         minimal.extend(sorted(a for a, wa in frontier.items() if not any(wa)))
         if degree == degree_bound:
@@ -518,5 +520,9 @@ def hilbert_basis_bounded(weights: IntMatrix, degree_bound: int) -> list[tuple[i
                 b = tuple(x + (i == j) for i, x in enumerate(a))
                 if b not in grown and not any(all(x <= y for x, y in zip(m, b)) for m in minimal):
                     grown[b] = tuple(x + y for x, y in zip(wa, c))
-        frontier, degree = grown, degree + 1
+                    if listed + len(grown) > HILBERT_COMPLETION_CAP:
+                        raise ComputationDeclined(
+                            f"the Hilbert basis completion listed more than "
+                            f"{HILBERT_COMPLETION_CAP} vectors by degree {degree + 1}")
+        frontier, degree, listed = grown, degree + 1, listed + len(grown)
     return minimal

@@ -21,6 +21,7 @@ square roots of rationals), so they are carried around exactly as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -264,9 +265,7 @@ class HmMinimum:
     minimizer: tuple[int, ...]
 
 
-def normalized_hm_min(
-    action: TorusAction, chi: Sequence[int], s: Support, *, _faces: dict | None = None
-) -> HmMinimum | None:
+def normalized_hm_min(action: TorusAction, chi: Sequence[int], s: Support) -> HmMinimum | None:
     """Minimum of mu^chi(lambda)/|lambda|_Q over nonzero lambda in the limit cone.
 
     Returns None when the cone is {0} (no-destabilizer signal).  The
@@ -282,11 +281,8 @@ def normalized_hm_min(
     are visited: at most sum_{k<r} C(|s|, k) on every support, whatever its
     weights, and a support with more than ``HM_FACE_CAP`` is declined.
 
-    The critical direction of a face depends only on (action, chi) and
-    the active set, not on s, so callers evaluating many supports pass
-    one ``_faces`` dict to share it (see ``_face_direction``).  That dict
-    must be scoped to a single (action, chi) pair: reused for another
-    action or character it returns the wrong directions.
+    The critical direction of a face depends only on (action, chi) and the
+    active set, not on s, so ``_face_table`` keeps it for the next call.
     """
     chi = tuple(int(e) for e in chi)
     if len(chi) != action.rank:
@@ -296,8 +292,7 @@ def normalized_hm_min(
     if n_faces > HM_FACE_CAP:
         raise ComputationDeclined(f"the Hilbert-Mumford minimum on {len(s)} coordinates would "
                                   f"visit {n_faces} faces, over the cap of {HM_FACE_CAP}")
-    if _faces is None:
-        _faces = {}
+    faces = _face_table(action, chi)
 
     def in_cone(v: Sequence[int]) -> bool:
         return all(dot(v, row) >= 0 for row in cone_rows)
@@ -312,9 +307,9 @@ def normalized_hm_min(
 
     for size in range(action.rank):
         for active in itertools.combinations(sorted(s), size):
-            if active not in _faces:
-                _faces[active] = _face_direction(action, chi, active)
-            face = _faces[active]
+            if active not in faces:
+                faces[active] = _face_direction(action, chi, active)
+            face = faces[active]
             if face is None:  # a dependent active set
                 continue
             v2, lam = face
@@ -333,6 +328,12 @@ def normalized_hm_min(
     if best is None:
         return None
     return HmMinimum(best[0], best[1])
+
+
+@functools.lru_cache(maxsize=1)
+def _face_table(action: TorusAction, chi: tuple[int, ...]) -> dict:
+    """The faces normalized_hm_min found for (action, chi), by active set; holds the last pair."""
+    return {}
 
 
 def _face_direction(
@@ -384,11 +385,10 @@ def minimal_hm_values(action: TorusAction, chi: Sequence[int]) -> frozenset[Sign
     admit an orbit-changing limit."""
     chi = tuple(int(e) for e in chi)
     values = set()
-    faces: dict = {}  # shared face table for this (action, chi)
     for s in action.all_supports():
         if not in_orbit_changing_locus(action, s):
             continue
-        res = normalized_hm_min(action, chi, s, _faces=faces)
+        res = normalized_hm_min(action, chi, s)
         if res is None:
             raise InternalError("orbit-changing support with trivial limit cone")
         values.add(res.value)
@@ -436,11 +436,10 @@ def combine_linearizations(
         return CombinedLinearization(1, combined, None, None)
 
     d: SignedSquare | None = None
-    faces: dict = {}  # shared face table for (action, chi_l)
     for s in sorted(unstable, key=support_key):
         if any(s | {j} in unstable for j in range(action.dim) if j not in s):
             continue  # not maximal
-        res_l = normalized_hm_min(action, chi_l, s, _faces=faces)
+        res_l = normalized_hm_min(action, chi_l, s)
         if res_l is None:
             raise InternalError("unstable support with trivial limit cone")
         if res_l.value.sign >= 0:

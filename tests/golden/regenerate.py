@@ -96,11 +96,13 @@ def _normed_calls() -> list[tuple[str, list[str]]]:
             out.append((f"{name}-minimal-values-{i}",
                         ["minimal-values", "--action", action, "--char", json.dumps(chi)]))
             for j, s in enumerate(supports):
-                out.append((f"{name}-hm-min-{i}-{j}", ["hm-min", "--action", action, "--char",
-                                                        json.dumps(chi), "--support", json.dumps(s)]))
+                out.append((f"{name}-hm-min-{i}-{j}",
+                            ["hm-min", "--action", action, "--char", json.dumps(chi),
+                             "--support", json.dumps(s)]))
         for (i, chi_l), (k, chi_m) in itertools.product(enumerate(chars), repeat=2):
-            out.append((f"{name}-combine-{i}-{k}", ["combine", "--action", action, "--char-l",
-                                                     json.dumps(chi_l), "--char-m", json.dumps(chi_m)]))
+            out.append((f"{name}-combine-{i}-{k}",
+                        ["combine", "--action", action, "--char-l", json.dumps(chi_l),
+                         "--char-m", json.dumps(chi_m)]))
     return out
 
 
@@ -117,7 +119,8 @@ def _degenerate_calls() -> list[tuple[str, list[str]]]:
                             ("rank6-over-cap", RANK_6_20, "[1,-1,2,0,1,-2]")):
         action = json.dumps({"rank": len(cols[0]), "weights": cols})
         full = json.dumps(list(range(1, len(cols) + 1)))
-        out.append((f"hm-min-{name}", ["hm-min", "--action", action, "--char", chi, "--support", full]))
+        out.append((f"hm-min-{name}",
+                    ["hm-min", "--action", action, "--char", chi, "--support", full]))
         if name != "rank6-over-cap":
             out.append((f"stable-{name}", ["stable", "--action", action, "--char", chi,
                                            "--support", full]))

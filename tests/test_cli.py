@@ -420,6 +420,20 @@ def test_an_integer_over_the_digit_limit_is_an_input_error(capsys):
     assert rc == 1 and doc["error"].startswith("malformed JSON: Expecting value")
 
 
+def test_an_output_integer_over_the_digit_limit_is_declined(capsys):
+    """Squares of 2,500-digit characters have 5,000 digits: an integer in the
+    JSON document (combine), or the numerator of a "p/q" string (hm-min under
+    a norm form with Q^-1 not integral).  One error document, nothing else."""
+    nines = "9" * 2500
+    normed = '{"rank": 2, "weights": [[1, 0], [0, 1]], "norm_form": [[2, 1], [1, 2]]}'
+    for argv in (["combine", "--action", HYPERBOLA, "--char-l", f"[{nines}]",
+                  "--char-m", f"[-{nines}]"],
+                 ["hm-min", "--action", normed, "--char", f"[{nines}, 1]", "--support", "[]"]):
+        rc, doc = invoke(argv, capsys)
+        assert rc == 2 and doc["kind"] == "declined", argv
+        assert doc["error"].startswith("an output integer is too long to print: "), argv
+
+
 def test_exponent_notation_in_a_degree_is_an_input_error(capsys):
     # Fraction("1e-99999999") would build 10**99999999 before failing anything
     for degree in ("1e-99999999", "2E3", "1.5e1"):

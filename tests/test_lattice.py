@@ -592,6 +592,20 @@ def test_hilbert_basis_completion_stops_when_nothing_is_left_to_grow():
     assert basis == hilbert_basis_by_enumeration(w, 13)
 
 
+def test_hilbert_basis_completion_declines_past_the_cap(monkeypatch):
+    """The cubics slice lists 7 vectors (3 unit vectors and 4 grown ones), the
+    14-generator rank-2 action 114; a cap one lower declines either."""
+    from torusgit.luna import cubics_slice
+
+    rank2 = IntMatrix.from_rows([[1, 2, -1, -3, 1, 0], [0, 1, 1, -1, -2, 1]])
+    for w, listed in ((cubics_slice().weights, 7), (rank2, 114)):
+        monkeypatch.setattr(lattice, "HILBERT_COMPLETION_CAP", listed)
+        assert hilbert_basis_bounded(w, 10**6)
+        monkeypatch.setattr(lattice, "HILBERT_COMPLETION_CAP", listed - 1)
+        with pytest.raises(ComputationDeclined, match=f"listed more than {listed - 1} vectors"):
+            hilbert_basis_bounded(w, 10**6)
+
+
 def test_monomials_up_to_degree_counts():
     assert len(monomials_up_to_degree(2, 3)) == 10  # C(2+3, 2)
     assert monomials_up_to_degree(0, 5) == [()]

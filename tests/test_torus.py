@@ -42,6 +42,13 @@ def action(rows, **kw):
 HYPERBOLA = action([[1, -1]])  # A^2 with weights (1, -1)
 
 
+@pytest.fixture(autouse=True)
+def empty_face_table():
+    """Every test starts on an empty face table, so that counted calls do not
+    depend on which test ran before."""
+    torus._face_table.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # validation of the norm form and the finite part
 # ---------------------------------------------------------------------------
@@ -409,17 +416,26 @@ def test_combine_matches_every_support_oracle(inputs):
     assert (res.m0, res.combined, res.d, res.e) == _combine_oracle(a, chi_l, chi_m)
 
 
+def _uncached_hm_min(a, chi, s):
+    torus._face_table.cache_clear()
+    return normalized_hm_min(a, chi, s)
+
+
 @settings(max_examples=50, deadline=None)
-@given(hm_inputs())
-def test_shared_face_table_matches_uncached_minima(inputs):
-    a, chi, _ = inputs
-    faces: dict = {}
-    expected = set()
-    for s in a.all_supports():
-        fresh = normalized_hm_min(a, chi, s)
-        assert normalized_hm_min(a, chi, s, _faces=faces) == fresh
-        if in_orbit_changing_locus(a, s):
-            expected.add(fresh.value)
+@given(hm_inputs(), st.data())
+def test_shared_face_table_matches_uncached_minima(inputs, data):
+    """Calls for two characters, on the action and on an equal but distinct
+    copy, in a drawn order: each equals a call on a cleared face table."""
+    a, chi, chi_2 = inputs
+    twin = TorusAction(a.rank, a.weights, a.norm_form, a.finite_part)
+    assert twin == a and twin is not a
+    calls = [(x, c, s) for x in (a, twin) for c in (chi, chi_2) for s in a.all_supports()]
+    fresh = [_uncached_hm_min(*call) for call in calls]
+    order = data.draw(st.permutations(range(len(calls))))
+    for i in order:
+        assert normalized_hm_min(*calls[i]) == fresh[i], calls[i]
+    expected = {fresh[i].value for i, (x, c, s) in enumerate(calls)
+                if x is a and c == chi and in_orbit_changing_locus(a, s)}
     assert minimal_hm_values(a, chi) == expected
 
 
@@ -568,17 +584,14 @@ def face_walk_inputs(draw):
 @given(face_walk_inputs())
 def test_face_walk_matches_the_every_face_loop(inputs):
     a, chi = inputs
-    walk_faces: dict = {}
     oracle_faces: dict = {}
     for s in a.all_supports():  # in support_key order
-        assert (normalized_hm_min(a, chi, s, _faces=walk_faces)
+        assert (normalized_hm_min(a, chi, s)
                 == _hm_min_every_face_oracle(a, chi, s, oracle_faces)), sorted(s)
 
 
-def _counted_hm_min(monkeypatch, cols, chi):
-    """normalized_hm_min on the full support of the rank-3 columns, and the
-    active sets it asked ``_face_direction`` for."""
-    a = TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)]))
+def _counting_face_directions(monkeypatch):
+    """The active sets later calls ask ``_face_direction`` for."""
     calls = []
 
     def counted(*args):
@@ -586,7 +599,27 @@ def _counted_hm_min(monkeypatch, cols, chi):
         return _face_direction(*args)
 
     monkeypatch.setattr(torus, "_face_direction", counted)
-    return normalized_hm_min(a, chi, frozenset(range(len(cols)))), calls
+    return calls
+
+
+def _rank3(cols):
+    return TorusAction(3, IntMatrix.from_rows([[c[i] for c in cols] for i in range(3)]))
+
+
+def _counted_hm_min(monkeypatch, cols, chi):
+    """normalized_hm_min on the full support of the rank-3 columns, and the
+    active sets it asked ``_face_direction`` for."""
+    calls = _counting_face_directions(monkeypatch)
+    return normalized_hm_min(_rank3(cols), chi, frozenset(range(len(cols)))), calls
+
+
+def test_minimal_values_ask_for_each_independent_set_once(monkeypatch):
+    """Every set of at most two of eight general columns is independent and
+    lies in an orbit-changing support; the 2^8 supports share one table."""
+    cols = GENERAL_POSITION_16[:8]
+    calls = _counting_face_directions(monkeypatch)
+    minimal_hm_values(_rank3(cols), (1, -2, 3))
+    assert sorted(calls) == sorted(t for k in range(3) for t in itertools.combinations(range(8), k))
 
 
 def test_face_loop_visits_the_sets_below_the_rank(monkeypatch):
