@@ -63,7 +63,8 @@ SKEW_RANK3 = {
     "weights": [[1, 0, 2], [-1, 1, 0], [0, -2, 1], [2, 1, -1], [-1, -1, -1], [0, 1, 1]],
     "norm_form": [[2, 1, 0], [1, 2, 1], [0, 1, 3]],
 }
-# The cubics slice with its cyclic symmetry and a norm form the cycle preserves.
+# The cubics slice and one more orbit of columns under its cyclic symmetry, with a norm
+# form the cycle preserves.
 CYCLIC_RANK3 = {
     "rank": 3,
     "weights": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2], [1, 1, -3], [-3, 1, 1], [1, -3, 1]],
